@@ -8,9 +8,10 @@ implementations are kept here (not in ``src/``): the poll-by-rescan
 ``GraphScheduler`` whose every poll rebuilt ``X_e ∪ C_e`` and re-derived
 predecessor sets, and the full-dict-copy ``WorldState.snapshot``.
 
-Since PR 6 the timed path is the *sparse* frontier-chain construction
-(``GraphConstruction.SPARSE``) feeding the wave-stratified engine; each row
-also executes the same block on the all-pairs graph and asserts both runs
+The timed path is the *sparse* frontier-chain construction (the only one
+``build_dependency_graph`` has) feeding the wave-stratified engine;
+each row also executes the same block on the all-pairs reference graph
+(:func:`benchmarks.seed_reference.all_pairs_graph`) and asserts both runs
 produce identical results, state and wave profile — the sparse-vs-all-pairs
 equivalence obligation.  ``edges`` is the sparse edge count;
 ``all_pairs_edges`` records the quadratic count it replaces (4,524,210 →
@@ -45,9 +46,9 @@ from typing import Dict, List
 import pytest
 
 from benchmarks.conftest import FULL, record_rows
-from benchmarks.seed_reference import seed_execute_with_graph
+from benchmarks.seed_reference import all_pairs_graph, seed_execute_with_graph
 from benchmarks.test_graph_scaling import CONTENTION_PROFILES, make_block
-from repro.core.dependency_graph import GraphConstruction, build_dependency_graph
+from repro.core.dependency_graph import build_dependency_graph
 from repro.core.execution import ExecutionEngine
 from repro.core.transaction import Transaction, TransactionResult
 from repro.ledger.state import StateSnapshot, VersionedValue, WorldState
@@ -81,10 +82,10 @@ def contract_runner(tx: Transaction, state) -> TransactionResult:
 def test_block_execution_scaling(size: int, profile: str) -> None:
     """Time sparse-graph whole-block execution; prove it matches all-pairs + seed."""
     txs = make_block(size, profile)
-    all_pairs = build_dependency_graph(txs)
+    all_pairs = all_pairs_graph(txs)
 
     start = time.perf_counter()
-    sparse = build_dependency_graph(txs, construction=GraphConstruction.SPARSE)
+    sparse = build_dependency_graph(txs)
     sparse_build_s = time.perf_counter() - start
 
     new_state: Dict[str, object] = {}

@@ -2,7 +2,7 @@
 
 Unlike the figure benchmarks — which report *simulated* throughput — these
 measure the Python implementation itself: dependency-graph construction,
-block sealing and the thread-pool executor.
+block sealing and dependency-graph execution.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.block import Block
 from repro.core.dependency_graph import build_dependency_graph
-from repro.core.parallel_executor import ParallelGraphExecutor
+from repro.core.execution import ExecutionEngine
 from repro.core.transaction import TransactionResult
 from repro.crypto.merkle import MerkleTree
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -47,7 +47,7 @@ def test_merkle_proof_generation(benchmark):
     assert MerkleTree.verify_proof("tx-255", proof, tree.root)
 
 
-def test_thread_pool_graph_execution(benchmark):
+def test_graph_execution(benchmark):
     txs = _block_txs(64, 0.2)
     graph = build_dependency_graph(txs)
 
@@ -56,7 +56,7 @@ def test_thread_pool_graph_execution(benchmark):
                                  updates={key: 1 for key in tx.write_set})
 
     def run():
-        return ParallelGraphExecutor(runner, max_workers=8).execute(graph, {})
+        return ExecutionEngine(runner, state={}).execute_with_graph(graph)
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(results) == 64

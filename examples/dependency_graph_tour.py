@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""A tour of the OXII core: dependency graphs and parallel execution.
+"""A tour of the OXII core: dependency graphs and graph-ordered execution.
 
 Recreates the paper's Figure 2 example block, prints its dependency graph,
-and then executes a larger accounting block two ways — sequentially and with a
-real thread pool following the dependency graph — to show that the parallel
-schedule produces exactly the same state while touching many transactions
-concurrently.
+and then executes a larger accounting block two ways — sequentially and wave
+by wave following the dependency graph (what OXII executors do) — to show
+that the graph-ordered schedule produces exactly the same state while each
+wave holds many mutually independent transactions.
 
 Usage::
 
@@ -18,7 +18,6 @@ import time
 
 from repro import AccountingContract, build_dependency_graph
 from repro.core.execution import ExecutionEngine
-from repro.core.parallel_executor import ParallelGraphExecutor
 from repro.core.transaction import ReadWriteSet, Transaction
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -47,15 +46,16 @@ def figure2_example() -> None:
     print()
 
 
-def parallel_equals_sequential() -> None:
-    """Execute a 200-transaction block with threads and check the state matches."""
-    print("=== Parallel execution of a contended accounting block ===")
+def graph_order_equals_sequential() -> None:
+    """Execute a 200-transaction block by graph waves and check the state matches."""
+    print("=== Graph-ordered execution of a contended accounting block ===")
     generator = WorkloadGenerator(WorkloadConfig(contention=0.3, seed=42))
     txs = [tx.with_timestamp(i + 1) for i, tx in enumerate(generator.generate(200))]
     initial_state = generator.initial_state(txs)
     graph = build_dependency_graph(txs)
     print(f"block: {len(graph)} transactions, {graph.edge_count} dependencies, "
-          f"critical path {graph.critical_path_length()}")
+          f"critical path {graph.critical_path_length()}, "
+          f"widest wave {max(graph.parallelism_profile())}")
 
     contract = AccountingContract("any", enforce_ownership=True)
     runner = lambda tx, state: contract.execute(tx, state)  # noqa: E731
@@ -65,24 +65,24 @@ def parallel_equals_sequential() -> None:
     sequential.execute_sequentially(txs)
     sequential_wall = time.perf_counter() - start
 
-    parallel_state = dict(initial_state)
+    graphed = ExecutionEngine(runner, dict(initial_state))
     start = time.perf_counter()
-    ParallelGraphExecutor(runner, max_workers=8).execute(graph, parallel_state)
-    parallel_wall = time.perf_counter() - start
+    graphed.execute_with_graph(graph)
+    graphed_wall = time.perf_counter() - start
 
-    same = parallel_state == sequential.state
-    total = AccountingContract.total_balance(parallel_state)
-    print(f"states identical: {same}")
+    assert graphed.state == sequential.state, "graph-ordered state diverged from sequential"
+    total = AccountingContract.total_balance(graphed.state)
+    print("states identical: True")
     print(f"total balance conserved: {total == AccountingContract.total_balance(initial_state)}")
     print(f"wall clock: sequential {sequential_wall * 1000:.1f} ms, "
-          f"thread pool {parallel_wall * 1000:.1f} ms "
-          f"(Python threads add overhead for CPU-light contracts; the simulator is used for the paper's performance claims)")
+          f"graph waves {graphed_wall * 1000:.1f} ms "
+          f"(one process; the simulator models the paper's parallel executors)")
     print()
 
 
 def main() -> None:
     figure2_example()
-    parallel_equals_sequential()
+    graph_order_equals_sequential()
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from repro.common.config import BlockCutPolicy, CostModel, LatencyConfig, System
 from repro.core import (
     Block,
     DependencyGraph,
-    ParallelGraphExecutor,
     ReadWriteSet,
     Transaction,
     TransactionResult,
@@ -52,7 +51,7 @@ from repro.workload import (
     WorkloadConfig,
     WorkloadGenerator,
 )
-from repro.paradigms import OXDeployment, OXIIDeployment, XOVDeployment, run_paradigm
+from repro.paradigms import OXDeployment, OXIIDeployment, XOVDeployment
 from repro.metrics.collector import RunMetrics
 from repro.bench.runner import quick_comparison
 from repro.experiments import (
@@ -80,7 +79,6 @@ __all__ = [
     "LatencyConfig",
     "OXDeployment",
     "OXIIDeployment",
-    "ParallelGraphExecutor",
     "ReadWriteSet",
     "RunMetrics",
     "ScenarioSpec",
@@ -101,7 +99,6 @@ __all__ = [
     "register_contract",
     "register_paradigm",
     "register_workload",
-    "run_paradigm",
 ]
 
 __version__ = "0.1.0"

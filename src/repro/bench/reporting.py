@@ -9,17 +9,6 @@ from typing import Iterable, List, Mapping, Optional, Sequence
 from repro.metrics.collector import RunMetrics
 
 
-def format_run_metrics(metrics: RunMetrics) -> str:
-    """One-line human-readable summary of a single run."""
-    return (
-        f"{metrics.paradigm:<6} load={metrics.offered_load:>7.0f} tps "
-        f"throughput={metrics.throughput:>7.0f} tps "
-        f"latency={metrics.latency_avg * 1000.0:>8.1f} ms "
-        f"committed={metrics.committed:>6d} aborted={metrics.aborted:>6d} "
-        f"abort_rate={metrics.abort_rate:>5.1%}"
-    )
-
-
 def format_comparison(results: Mapping[str, RunMetrics], title: str = "Paradigm comparison") -> str:
     """Table comparing several paradigms on the same workload."""
     lines = [title, f"{'paradigm':<8} {'throughput':>12} {'latency':>12} {'aborts':>8}"]

@@ -7,7 +7,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.common.config import SystemConfig, apply_overrides
 from repro.metrics.collector import RunMetrics
-from repro.metrics.saturation import LoadSweepResult, sweep_offered_load
 from repro.paradigms.run import execute_run
 from repro.workload.generator import ConflictScope, WorkloadConfig
 
@@ -104,30 +103,6 @@ def run_point(
         duration=settings.duration,
         warmup_fraction=settings.warmup_fraction,
         drain=settings.drain,
-    )
-
-
-def sweep_paradigm(
-    paradigm: str,
-    contention: float = 0.0,
-    conflict_scope: ConflictScope = ConflictScope.WITHIN_APPLICATION,
-    settings: Optional[BenchmarkSettings] = None,
-    system_config: Optional[SystemConfig] = None,
-    loads: Optional[Sequence[float]] = None,
-) -> LoadSweepResult:
-    """Sweep the offered load for one paradigm and locate its saturation knee."""
-    settings = settings or BenchmarkSettings()
-    loads = loads if loads is not None else settings.loads_for(paradigm)
-    return sweep_offered_load(
-        lambda load: run_point(
-            paradigm,
-            offered_load=load,
-            contention=contention,
-            conflict_scope=conflict_scope,
-            settings=settings,
-            system_config=system_config,
-        ),
-        loads=loads,
     )
 
 

@@ -19,7 +19,6 @@ from repro.common.identifiers import (
     BlockId,
     NodeId,
     TransactionId,
-    deterministic_uuid,
 )
 from repro.common.config import (
     CostModel,
@@ -40,5 +39,4 @@ __all__ = [
     "SystemConfig",
     "TransactionError",
     "TransactionId",
-    "deterministic_uuid",
 ]

@@ -368,11 +368,6 @@ class SystemConfig:
     far_groups: Sequence[str] = ()
     #: Seed for all pseudo-random decisions (workload, jitter).
     seed: int = 7
-    #: Dependency-graph edge materialisation: "sparse" (frontier chains —
-    #: same waves/closure as all-pairs with O(accesses) edges, the default)
-    #: or "all_pairs" (one edge per conflicting pair, Section III-A
-    #: verbatim).  See :class:`repro.core.dependency_graph.GraphConstruction`.
-    graph_construction: str = "sparse"
     #: Transport/clock backend the deployment runs on: "sim" (deterministic
     #: discrete-event simulation, the default and the correctness oracle),
     #: "asyncio" (wall-clock inproc queues) or "asyncio-tcp" (wall-clock
@@ -401,11 +396,6 @@ class SystemConfig:
             )
         if not self.contract or not isinstance(self.contract, str):
             raise ConfigurationError("contract must be a non-empty registered contract name")
-        if self.graph_construction not in ("sparse", "all_pairs"):
-            raise ConfigurationError(
-                f"unknown graph construction {self.graph_construction!r} "
-                "(expected 'sparse' or 'all_pairs')"
-            )
         unknown = set(self.far_groups) - set(NODE_GROUPS)
         if unknown:
             raise ConfigurationError(f"unknown node groups: {sorted(unknown)}")

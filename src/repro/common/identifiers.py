@@ -9,7 +9,6 @@ runs are deterministic and reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from typing import Iterator, NewType
 
@@ -17,17 +16,6 @@ NodeId = NewType("NodeId", str)
 ApplicationId = NewType("ApplicationId", str)
 TransactionId = NewType("TransactionId", str)
 BlockId = NewType("BlockId", int)
-
-
-def deterministic_uuid(*parts: object) -> str:
-    """Return a stable 32-hex-character identifier derived from ``parts``.
-
-    The identifier is a truncated SHA-256 of the repr of the parts, so the same
-    inputs always produce the same id.  This keeps simulation runs fully
-    reproducible (no reliance on ``uuid.uuid4`` or wall-clock time).
-    """
-    digest = hashlib.sha256("|".join(repr(p) for p in parts).encode("utf-8"))
-    return digest.hexdigest()[:32]
 
 
 class IdSequence:

@@ -28,34 +28,11 @@ registry); :func:`ensure_builtins` forces all three imports.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Mapping, Optional, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, TypeVar
 
 from repro.common.errors import ConfigurationError
 
 T = TypeVar("T")
-
-
-class RegistryView(Mapping[str, T]):
-    """Live, read-only mapping view over a :class:`Registry`."""
-
-    def __init__(self, registry: "Registry[T]") -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> T:
-        try:
-            return self._registry.get(name)
-        except ConfigurationError:
-            # The Mapping protocol (``in``, ``.get()``) relies on KeyError.
-            raise KeyError(name) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RegistryView({self._registry.kind}: {self._registry.names()})"
 
 
 class Registry(Generic[T]):
@@ -110,10 +87,6 @@ class Registry(Generic[T]):
     def names(self) -> List[str]:
         """Registered names, sorted."""
         return sorted(self._entries)
-
-    def as_mapping(self) -> RegistryView[T]:
-        """A live read-only ``Mapping`` view (legacy ``PARADIGMS``-style access)."""
-        return RegistryView(self)
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and self._normalise(name) in self._entries

@@ -7,29 +7,23 @@ idea, independent of any particular deployment:
   read and write sets and a total-order timestamp.
 * :class:`~repro.core.dependency_graph.DependencyGraph` — the partial order
   over a block's transactions induced by ordering dependencies (Section III-A),
-  including the multi-version (MVCC) variant and DGCC-style operation-level
-  graphs.
+  including the multi-version (MVCC) variant.
 * :class:`~repro.core.block.Block` and
   :class:`~repro.core.block_builder.BlockBuilder` — blocks with the three
   block-cut conditions of Section IV-B.
 * :mod:`~repro.core.execution` — Algorithms 1–3: dependency-graph-driven
   execution scheduling, commit-message batching on cross-application cut
   edges, and the τ(A)-matching state update rule.
-* :class:`~repro.core.parallel_executor.ParallelGraphExecutor` — a real
-  thread-pool executor that runs a dependency graph with actual threads (used
-  by the examples and correctness tests; benchmarks use the simulator).
 """
 
-from repro.core.transaction import Operation, ReadWriteSet, Transaction, TransactionResult
+from repro.core.transaction import ReadWriteSet, Transaction, TransactionResult
 from repro.core.dependency_graph import (
     ConflictType,
     DependencyEdge,
     DependencyGraph,
     GraphMode,
-    OperationGraph,
     StreamingGraphBuilder,
     build_dependency_graph,
-    build_operation_graph,
     conflicts,
     has_ordering_dependency,
 )
@@ -43,7 +37,6 @@ from repro.core.execution import (
     GraphScheduler,
     StateUpdater,
 )
-from repro.core.parallel_executor import ParallelGraphExecutor
 
 __all__ = [
     "AdjacencyDAG",
@@ -59,9 +52,6 @@ __all__ = [
     "ExecutionEngine",
     "GraphMode",
     "GraphScheduler",
-    "Operation",
-    "OperationGraph",
-    "ParallelGraphExecutor",
     "ReadWriteSet",
     "StateUpdater",
     "StreamingGraphBuilder",
@@ -69,7 +59,6 @@ __all__ = [
     "TransactionResult",
     "UnionFind",
     "build_dependency_graph",
-    "build_operation_graph",
     "conflicts",
     "has_ordering_dependency",
 ]

@@ -20,7 +20,6 @@ from repro.common.config import BlockCutPolicy
 from repro.core.block import Block
 from repro.core.dependency_graph import (
     DependencyGraph,
-    GraphConstruction,
     GraphMode,
     StreamingGraphBuilder,
     build_dependency_graph,
@@ -69,18 +68,14 @@ class BlockBuilder:
         tx_size_bytes: int = 256,
         generate_graphs: bool = True,
         graph_mode: GraphMode = GraphMode.SINGLE_VERSION,
-        graph_construction: GraphConstruction = GraphConstruction.SPARSE,
     ) -> None:
         self.policy = policy
         self.tx_size_bytes = tx_size_bytes
         self.generate_graphs = generate_graphs
         self.graph_mode = graph_mode
-        self.graph_construction = graph_construction
         self._pending: List[Transaction] = []
         self._graph_builder: Optional[StreamingGraphBuilder] = (
-            StreamingGraphBuilder(mode=graph_mode, construction=graph_construction)
-            if generate_graphs
-            else None
+            StreamingGraphBuilder(mode=graph_mode) if generate_graphs else None
         )
         self._opened_at: Optional[float] = None
         self._next_sequence = 1
@@ -174,16 +169,8 @@ class BlockBuilder:
         graph = None
         if self.generate_graphs:
             graph = pending.graph
-            if (
-                graph is None
-                or graph.mode is not self.graph_mode
-                or graph.construction is not self.graph_construction
-            ):
-                graph = build_dependency_graph(
-                    pending.transactions,
-                    mode=self.graph_mode,
-                    construction=self.graph_construction,
-                )
+            if graph is None or graph.mode is not self.graph_mode:
+                graph = build_dependency_graph(pending.transactions, mode=self.graph_mode)
         block = Block.create(
             sequence=self._next_sequence,
             transactions=pending.transactions,

@@ -8,27 +8,30 @@ whose nodes are the block's transactions and whose edges are the ordering
 dependencies.  Because every edge points from an earlier to a later
 transaction, the graph is acyclic by construction.
 
-Three construction modes are provided, all discussed in the paper:
+Two datastore semantics are provided, both discussed in the paper:
 
 * ``single_version`` (default) — the definition above: read-write,
-  write-read and write-write conflicts all create edges.
+  write-read and write-write conflicts all order transactions.
 * ``multi_version`` — for an MVCC datastore, writes create new versions, so
   write-write pairs and read-then-write pairs need no edge; only
   write-then-read pairs (the reader needs the writer's version) are ordered.
-* operation-level graphs (DGCC-style) via :func:`build_operation_graph`, which
-  splits each transaction into per-record operations so execution can be
-  parallelised at operation granularity.
+
+Single-version graphs are built *sparse*: per record only the current
+frontier (the last writer, or the readers seen since it) is linked, so a
+block has O(accesses) edges instead of one per conflicting pair, with the
+same transitive closure and hence the same execution waves (see
+:class:`StreamingGraphBuilder`).
 
 The graphs are backed by the dense integer-indexed adjacency core in
 :mod:`repro.core.graph_core` — nodes are block positions, edges are plain
 Python lists and every structural query (roots, components, critical path,
 topological order) runs on arrays rather than dict-of-dict storage.  Orderers
 that fill a block transaction-by-transaction should use
-:class:`StreamingGraphBuilder`, which maintains per-record writer/reader
-indices so each arriving transaction only pays for the conflicts it actually
-introduces instead of rebuilding the graph from scratch.  ``networkx`` is
-*not* required at runtime; :meth:`DependencyGraph.to_networkx` imports it
-lazily for debugging/plotting only (install the ``debug`` extra).
+:class:`StreamingGraphBuilder`, which maintains per-record indices so each
+arriving transaction only pays for the records it touches instead of
+rebuilding the graph from scratch.  ``networkx`` is *not* required at
+runtime; :meth:`DependencyGraph.to_networkx` imports it lazily for
+debugging/plotting only (install the ``debug`` extra).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 from repro.common.errors import DependencyGraphError
 from repro.core._accel import np as _np
 from repro.core.graph_core import AdjacencyDAG, depth_histogram
-from repro.core.transaction import Operation, OperationType, Transaction
+from repro.core.transaction import Transaction
 
 
 class ConflictType(str, Enum):
@@ -58,34 +61,11 @@ class GraphMode(str, Enum):
     MULTI_VERSION = "multi_version"
 
 
-class GraphConstruction(str, Enum):
-    """How many of a block's conflict edges are materialised.
-
-    * ``all_pairs`` — one edge per conflicting ordered pair, the literal
-      Section III-A definition.  Hot keys make this quadratic: ``k``
-      transactions touching one record contribute up to ``k·(k-1)/2`` edges,
-      nearly all of them transitively redundant.
-    * ``sparse`` — per-key frontier chains: each arriving transaction links
-      only to the key's current *frontier* (the last writer, or the readers
-      seen since it), which yields O(accesses) edges while preserving the
-      all-pairs graph's transitive closure exactly — hence identical waves,
-      dispatch order and committed state (see ``StreamingGraphBuilder``).
-      Under ``multi_version`` semantics no sound sparsification exists (the
-      only edges are writer→reader and writers are mutually unordered, so no
-      chain can stand in for a dropped edge); sparse graphs therefore keep
-      the all-pairs rule there.
-    """
-
-    ALL_PAIRS = "all_pairs"
-    SPARSE = "sparse"
-
-
 # Conflict kinds as bit flags for the hot construction path; tuples of
 # ConflictType are only materialised when edges are inspected.
 _RW = 1
 _WR = 2
 _WW = 4
-_KIND_TO_MASK = {ConflictType.READ_WRITE: _RW, ConflictType.WRITE_READ: _WR, ConflictType.WRITE_WRITE: _WW}
 _MASK_TO_KINDS: Tuple[Tuple[ConflictType, ...], ...] = tuple(
     tuple(
         kind
@@ -160,27 +140,19 @@ class DependencyGraph:
     def __init__(
         self,
         transactions: Sequence[Transaction],
-        edges: Iterable[DependencyEdge],
+        incoming: Sequence[Iterable[int]],
         mode: GraphMode = GraphMode.SINGLE_VERSION,
-        construction: GraphConstruction = GraphConstruction.ALL_PAIRS,
-    ) -> None:
-        ordered = sorted(transactions, key=lambda t: t.timestamp)
-        self._init_nodes(ordered, mode, construction=construction)
-        self._dag = AdjacencyDAG(len(self._ids))
-        for edge in edges:
-            self._add_edge(edge)
-
-    # ------------------------------------------------------------ construction
-    def _init_nodes(
-        self,
-        ordered: Sequence[Transaction],
-        mode: GraphMode,
         index: Optional[Dict[str, int]] = None,
-        construction: GraphConstruction = GraphConstruction.ALL_PAIRS,
     ) -> None:
+        """Wrap block-ordered ``transactions`` and their predecessor indices.
+
+        ``incoming[v]`` holds the block positions of ``v``'s predecessors,
+        each smaller than ``v``.  ``index`` (tx id → position) may be handed
+        over by a builder that already maintains it; otherwise it is built
+        here and duplicate ids are rejected.
+        """
         self._mode = mode
-        self._construction = construction
-        self._txs = list(ordered)
+        self._txs = list(transactions)
         self._ids: List[str] = [tx.tx_id for tx in self._txs]
         if index is None:
             index = {tx_id: i for i, tx_id in enumerate(self._ids)}
@@ -191,10 +163,14 @@ class DependencyGraph:
                         raise DependencyGraphError(f"duplicate transaction id {tx_id!r}")
                     seen.add(tx_id)
         self._index = index
-        # Conflict kinds are derivable from the read/write sets, so the fast
-        # construction path does not store them; only edges supplied
-        # explicitly (public constructor) pin their kinds here.
-        self._explicit_masks: Dict[Tuple[int, int], int] = {}
+        if len(incoming) != len(self._ids):
+            raise DependencyGraphError(
+                f"{len(incoming)} predecessor lists for {len(self._ids)} transactions"
+            )
+        try:
+            self._dag = AdjacencyDAG.from_incoming(incoming)
+        except ValueError as exc:
+            raise DependencyGraphError(str(exc)) from None
         # Lazily computed caches (the graph is immutable after construction).
         self._depths: Optional[List[int]] = None
         self._edge_cache: Optional[List[DependencyEdge]] = None
@@ -202,49 +178,9 @@ class DependencyGraph:
         self._succ_sets: List[Optional[FrozenSet[str]]] = [None] * len(self._ids)
         self._cross_app_succ: Optional[Tuple[bool, ...]] = None
 
-    @classmethod
-    def _from_indexed(
-        cls,
-        ordered: Sequence[Transaction],
-        incoming: Sequence[Iterable[int]],
-        mode: GraphMode,
-        explicit_masks: Optional[Dict[Tuple[int, int], int]] = None,
-        index: Optional[Dict[str, int]] = None,
-        construction: GraphConstruction = GraphConstruction.ALL_PAIRS,
-    ) -> "DependencyGraph":
-        """Fast path for :class:`StreamingGraphBuilder`: transactions already in
-        block order, ``incoming[v]`` the already-validated predecessor indices."""
-        graph = cls.__new__(cls)
-        graph._init_nodes(ordered, mode, index=index, construction=construction)
-        graph._dag = AdjacencyDAG.from_incoming(incoming)
-        if explicit_masks:
-            graph._explicit_masks = dict(explicit_masks)
-        return graph
-
-    def _add_edge(self, edge: DependencyEdge) -> None:
-        u = self._index.get(edge.source)
-        v = self._index.get(edge.target)
-        if u is None or v is None:
-            raise DependencyGraphError(
-                f"edge ({edge.source!r}, {edge.target!r}) references unknown transactions"
-            )
-        if self._txs[u].timestamp >= self._txs[v].timestamp:
-            raise DependencyGraphError(
-                f"edge ({edge.source!r}, {edge.target!r}) violates timestamp order"
-            )
-        mask = 0
-        for kind in edge.kinds:
-            mask |= _KIND_TO_MASK[kind]
-        if (u, v) not in self._explicit_masks:
-            self._dag.add_edge(u, v)
-        self._explicit_masks[(u, v)] = mask
-
     def _mask_for(self, u: int, v: int) -> int:
         """The conflict kinds of the edge ``u -> v``, recomputed from the
-        read/write sets (used for edges built through the fast path)."""
-        explicit = self._explicit_masks.get((u, v))
-        if explicit is not None:
-            return explicit
+        read/write sets (construction does not store them)."""
         if self._mode is GraphMode.MULTI_VERSION:
             return _WR  # the only conflict that creates MVCC edges
         earlier, later = self._txs[u], self._txs[v]
@@ -262,17 +198,6 @@ class DependencyGraph:
     def mode(self) -> GraphMode:
         """Datastore semantics the graph was generated for."""
         return self._mode
-
-    @property
-    def construction(self) -> GraphConstruction:
-        """Which edge-materialisation strategy built this graph.
-
-        Metadata only: graphs with different constructions over the same
-        block share their transitive closure, waves and committed state, but
-        their edge sets differ, so consumers that compare graphs structurally
-        (block sealing, tests) need to know which family they hold.
-        """
-        return self._construction
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -439,13 +364,6 @@ class DependencyGraph:
         ids = self._ids
         return [{ids[v] for v in group} for group in self._dag.components()]
 
-    def component_applications(self) -> List[Set[str]]:
-        """The set of applications appearing in each component."""
-        txs = self._txs
-        return [
-            {txs[v].application for v in group} for group in self._dag.components()
-        ]
-
     def has_cross_application_dependency(self) -> bool:
         """True if any edge connects transactions of different applications."""
         txs = self._txs
@@ -507,26 +425,6 @@ class DependencyGraph:
         involved = sum(1 for v in range(n) if dag.in_degree(v) or dag.out_degree(v))
         return involved / n
 
-    def subgraph_for_application(self, application: str) -> "DependencyGraph":
-        """The induced subgraph containing only ``application``'s transactions."""
-        keep = [v for v, tx in enumerate(self._txs) if tx.application == application]
-        remap = {old: new for new, old in enumerate(keep)}
-        incoming = [
-            [remap[u] for u in self._dag.predecessors(old) if u in remap] for old in keep
-        ]
-        explicit = {
-            (remap[u], remap[v]): mask
-            for (u, v), mask in self._explicit_masks.items()
-            if u in remap and v in remap
-        }
-        return DependencyGraph._from_indexed(
-            [self._txs[v] for v in keep],
-            incoming,
-            self._mode,
-            explicit_masks=explicit,
-            construction=self._construction,
-        )
-
     def canonical_tuple(self) -> tuple:
         return (
             "depgraph",
@@ -560,46 +458,42 @@ class StreamingGraphBuilder:
 
     Orderers fill a block one ordered transaction at a time; rebuilding the
     dependency graph from scratch at every cut re-pays the whole construction
-    cost.  This builder maintains per-record writer and reader position
-    indices, so adding a transaction only inspects the accessors of the
-    records it actually touches — the same per-record construction as
-    :func:`build_dependency_graph`, amortised over the block's lifetime.
+    cost.  This builder maintains per-record position indices, so adding a
+    transaction only inspects the records it actually touches.
 
     Transactions must be added in block order (strictly increasing
     timestamps).  :meth:`graph` snapshots the current graph without
     invalidating the builder, so an orderer can inspect the partial graph
     (e.g. for contention-aware block cutting) and keep appending.
 
-    With ``construction=GraphConstruction.SPARSE`` the builder keeps, per
-    key, only the *frontier*: the position of the last writer and the readers
-    seen since it.  An arriving reader links to the last writer; an arriving
-    writer links to the frontier readers (or, if none, to the last writer)
-    and resets the frontier.  Every sparse edge is a genuine pairwise
-    conflict, and every dropped conflict pair stays reachable through the
-    chain — writer→writer through the per-key writer chain, writer→reader
-    through the chain plus the last-writer edge, reader→writer through the
-    first subsequent writer — so the transitive closure (and with it the
-    longest-path depth of every node, i.e. the execution waves) is exactly
-    the all-pairs graph's.  A key in both the read and write set of one
-    transaction is handled by the write rule alone (linking it as a reader
-    too would self-loop).  Edge count becomes O(accesses) instead of
-    O(hot-key popularity²).  ``multi_version`` graphs are unaffected: their
-    writer→reader edges admit no chaining (see :class:`GraphConstruction`).
+    Single-version graphs are sparse: per key the builder keeps only the
+    *frontier* — the position of the last writer and the readers seen since
+    it.  An arriving reader links to the last writer; an arriving writer
+    links to the frontier readers (or, if none, to the last writer) and
+    resets the frontier.  Every sparse edge is a genuine pairwise conflict,
+    and every other conflicting pair stays reachable through the chain —
+    writer→writer through the per-key writer chain, writer→reader through the
+    chain plus the last-writer edge, reader→writer through the first
+    subsequent writer — so the transitive closure (and with it the
+    longest-path depth of every node, i.e. the execution waves) equals that
+    of the one-edge-per-conflicting-pair graph of Section III-A.  A key in
+    both the read and write set of one transaction is handled by the write
+    rule alone (linking it as a reader too would self-loop).  Edge count is
+    O(accesses) instead of O(hot-key popularity²).
+
+    ``multi_version`` graphs keep one edge per writer→reader pair: writers
+    are mutually unordered there, so no chain can stand in for a dropped
+    edge.
     """
 
-    def __init__(
-        self,
-        mode: GraphMode = GraphMode.SINGLE_VERSION,
-        construction: GraphConstruction = GraphConstruction.ALL_PAIRS,
-    ) -> None:
+    def __init__(self, mode: GraphMode = GraphMode.SINGLE_VERSION) -> None:
         self._mode = mode
-        self._construction = construction
         self._txs: List[Transaction] = []
         self._index: Dict[str, int] = {}
+        #: Multi-version rule: every writer position per key.
         self._writers: Dict[str, List[int]] = {}
-        self._readers: Dict[str, List[int]] = {}
-        #: Sparse-construction frontier: last writer position per key, and the
-        #: reader positions seen since that write.
+        #: Sparse frontier: last writer position per key, and the reader
+        #: positions seen since that write.
         self._last_writer: Dict[str, int] = {}
         self._frontier_readers: Dict[str, List[int]] = {}
         #: ``_incoming[v]`` — predecessor indices of transaction ``v`` (a set,
@@ -615,11 +509,6 @@ class StreamingGraphBuilder:
     def mode(self) -> GraphMode:
         """Datastore semantics the graph is generated for."""
         return self._mode
-
-    @property
-    def construction(self) -> GraphConstruction:
-        """Edge-materialisation strategy of the graphs this builder produces."""
-        return self._construction
 
     @property
     def edge_count(self) -> int:
@@ -647,15 +536,10 @@ class StreamingGraphBuilder:
                 f"{self._txs[-1].tx_id} and {tx.tx_id}"
             )
         rw_set = tx.rw_set
-        read_set = rw_set.reads
-        write_set = rw_set.writes
-        if (
-            self._construction is GraphConstruction.SPARSE
-            and self._mode is not GraphMode.MULTI_VERSION
-        ):
-            preds = self._sparse_predecessors(idx, read_set, write_set)
+        if self._mode is GraphMode.MULTI_VERSION:
+            preds = self._multi_version_predecessors(idx, rw_set.reads, rw_set.writes)
         else:
-            preds = self._all_pairs_predecessors(idx, read_set, write_set)
+            preds = self._sparse_predecessors(idx, rw_set.reads, rw_set.writes)
         if preds is None:
             self._incoming.append(())
             added = 0
@@ -667,45 +551,22 @@ class StreamingGraphBuilder:
         self._last_timestamp = timestamp
         return added
 
-    def _all_pairs_predecessors(
+    def _multi_version_predecessors(
         self, idx: int, read_set: FrozenSet[str], write_set: FrozenSet[str]
     ) -> Optional[Set[int]]:
-        """One edge per conflicting earlier accessor (Section III-A verbatim)."""
+        """Write-then-read edges: a reader needs every earlier writer's version."""
         writers = self._writers
-        readers = self._readers
         # ``preds`` is only allocated once a conflict is found; the bulk
         # ``set.update`` over the per-record index lists is the entire
         # per-edge cost of construction.
         preds: Optional[Set[int]] = None
         for key in read_set:
-            # write-then-read: the reader needs the writer's version (the
-            # only conflict that orders transactions under MVCC too).
             earlier_writers = writers.get(key)
             if earlier_writers:
                 if preds is None:
                     preds = set(earlier_writers)
                 else:
                     preds.update(earlier_writers)
-        if self._mode is not GraphMode.MULTI_VERSION:
-            for key in write_set:
-                earlier_writers = writers.get(key)
-                if earlier_writers:
-                    if preds is None:
-                        preds = set(earlier_writers)
-                    else:
-                        preds.update(earlier_writers)
-                earlier_readers = readers.get(key)
-                if earlier_readers:
-                    if preds is None:
-                        preds = set(earlier_readers)
-                    else:
-                        preds.update(earlier_readers)
-        for key in read_set:
-            earlier_readers = readers.get(key)
-            if earlier_readers is None:
-                readers[key] = [idx]
-            else:
-                earlier_readers.append(idx)
         for key in write_set:
             earlier_writers = writers.get(key)
             if earlier_writers is None:
@@ -724,7 +585,7 @@ class StreamingGraphBuilder:
         precede it, and each already reaches the last writer — or directly on
         the last writer when no reads intervened, then becomes the new
         frontier.  All transitively implied conflict pairs stay reachable
-        through these chains, so the closure equals the all-pairs graph's.
+        through these chains, so the closure equals the pairwise graph's.
         """
         last_writer = self._last_writer
         frontier_readers = self._frontier_readers
@@ -776,12 +637,11 @@ class StreamingGraphBuilder:
 
     def graph(self) -> DependencyGraph:
         """Snapshot the dependency graph built so far (builder stays usable)."""
-        return DependencyGraph._from_indexed(
-            list(self._txs),
+        return DependencyGraph(
+            self._txs,
             [set(preds) if preds else () for preds in self._incoming],
             self._mode,
             index=dict(self._index),
-            construction=self._construction,
         )
 
     def take_graph(self) -> DependencyGraph:
@@ -791,13 +651,7 @@ class StreamingGraphBuilder:
         ownership of the builder's arrays and the builder starts the next
         block empty.
         """
-        graph = DependencyGraph._from_indexed(
-            self._txs,
-            self._incoming,
-            self._mode,
-            index=self._index,
-            construction=self._construction,
-        )
+        graph = DependencyGraph(self._txs, self._incoming, self._mode, index=self._index)
         self.reset()
         return graph
 
@@ -806,7 +660,6 @@ class StreamingGraphBuilder:
         self._txs = []
         self._index = {}
         self._writers = {}
-        self._readers = {}
         self._last_writer = {}
         self._frontier_readers = {}
         self._incoming = []
@@ -817,162 +670,22 @@ class StreamingGraphBuilder:
 def build_dependency_graph(
     transactions: Sequence[Transaction],
     mode: GraphMode = GraphMode.SINGLE_VERSION,
-    construction: GraphConstruction = GraphConstruction.ALL_PAIRS,
 ) -> DependencyGraph:
     """Construct the dependency graph of a block of transactions.
 
-    Transactions must already carry strictly increasing timestamps in block
-    order (the orderers stamp them).  The default construction is equivalent
-    to checking every ordered pair (the definition in Section III-A) but is
-    implemented per record via :class:`StreamingGraphBuilder`: only
-    transactions that touch a common record can conflict, so the work is
-    proportional to the contention actually present rather than always
-    quadratic in block size.  Pass
-    ``construction=GraphConstruction.SPARSE`` for the frontier-chain
-    construction, which additionally drops transitively redundant edges —
-    same closure, waves and committed state, O(accesses) edges.  (The
-    *simulated* cost charged to orderers stays quadratic — see
+    Transactions must carry strictly increasing timestamps in block order
+    (the orderers stamp them).  Construction is per record via
+    :class:`StreamingGraphBuilder`: only transactions that touch a common
+    record can conflict, so the work is proportional to the accesses rather
+    than quadratic in block size.  (The *simulated* cost charged to orderers
+    stays quadratic — see
     :meth:`repro.common.config.CostModel.dependency_graph_cost` — because
     that is the cost the paper's implementation pays.)
     """
-    builder = StreamingGraphBuilder(mode=mode, construction=construction)
+    builder = StreamingGraphBuilder(mode=mode)
     for tx in sorted(transactions, key=lambda t: t.timestamp):
         builder.add(tx)
     return builder.take_graph()
-
-
-@dataclass(frozen=True)
-class OperationNode:
-    """One node of a DGCC-style operation-level dependency graph."""
-
-    tx_id: str
-    operation: Operation
-
-    @property
-    def node_id(self) -> str:
-        return f"{self.tx_id}:{self.operation.op_type.value}:{self.operation.key}"
-
-
-class OperationGraph:
-    """A DGCC-style operation-level dependency graph (networkx-free).
-
-    Nodes are per-record read/write operations identified by
-    ``"<tx_id>:<read|write>:<key>"``; edges connect conflicting operations of
-    different transactions in timestamp order.  The query surface mirrors the
-    small slice of ``networkx.DiGraph`` the callers used —
-    :meth:`number_of_nodes`, :meth:`number_of_edges`, :meth:`has_edge` — plus
-    neighbour and topological queries backed by the adjacency core.
-    """
-
-    def __init__(self, nodes: Sequence[OperationNode], edges: Iterable[Tuple[int, int]]) -> None:
-        self._nodes = list(nodes)
-        self._ids = [node.node_id for node in self._nodes]
-        self._index = {node_id: i for i, node_id in enumerate(self._ids)}
-        if len(self._index) != len(self._ids):
-            raise DependencyGraphError("duplicate operation node ids")
-        self._dag = AdjacencyDAG(len(self._ids))
-        self._edge_set: Set[Tuple[int, int]] = set()
-        for u, v in edges:
-            if (u, v) not in self._edge_set:
-                self._edge_set.add((u, v))
-                self._dag.add_edge(u, v)
-
-    def number_of_nodes(self) -> int:
-        """How many per-record operations the block contains."""
-        return len(self._ids)
-
-    def number_of_edges(self) -> int:
-        """How many operation-level conflicts were found."""
-        return self._dag.edge_count
-
-    def nodes(self) -> List[str]:
-        """Node ids in timestamp-then-operation order."""
-        return list(self._ids)
-
-    def node(self, node_id: str) -> OperationNode:
-        """The :class:`OperationNode` stored under ``node_id``."""
-        index = self._index.get(node_id)
-        if index is None:
-            raise DependencyGraphError(f"unknown operation node {node_id!r}")
-        return self._nodes[index]
-
-    def has_edge(self, source: str, target: str) -> bool:
-        """True iff the conflict edge ``source -> target`` exists."""
-        u = self._index.get(source)
-        v = self._index.get(target)
-        if u is None or v is None:
-            return False
-        return (u, v) in self._edge_set
-
-    def predecessors(self, node_id: str) -> Set[str]:
-        """Operations that must run before ``node_id``."""
-        index = self._index.get(node_id)
-        if index is None:
-            raise DependencyGraphError(f"unknown operation node {node_id!r}")
-        return {self._ids[u] for u in self._dag.predecessors(index)}
-
-    def successors(self, node_id: str) -> Set[str]:
-        """Operations that depend on ``node_id``."""
-        index = self._index.get(node_id)
-        if index is None:
-            raise DependencyGraphError(f"unknown operation node {node_id!r}")
-        return {self._ids[v] for v in self._dag.successors(index)}
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """Every conflict edge as an ``(earlier, later)`` id pair."""
-        ids = self._ids
-        return [(ids[u], ids[v]) for (u, v) in sorted(self._edge_set)]
-
-    def topological_order(self) -> List[str]:
-        """A valid execution order of the operations."""
-        return list(self._ids)
-
-    def to_networkx(self):
-        """A ``networkx.DiGraph`` copy for analysis/plotting (debug only)."""
-        try:
-            import networkx as nx
-        except ImportError as exc:  # pragma: no cover - depends on environment
-            raise DependencyGraphError(
-                "networkx is required for to_networkx(); install the 'debug' extra"
-            ) from exc
-        graph = nx.DiGraph()
-        for node in self._nodes:
-            graph.add_node(node.node_id, tx_id=node.tx_id, op=node.operation)
-        graph.add_edges_from(self.edges())
-        return graph
-
-
-def build_operation_graph(transactions: Sequence[Transaction]) -> OperationGraph:
-    """Build a DGCC-style operation-level dependency graph.
-
-    Each transaction is broken into per-record read/write operations; edges
-    connect conflicting operations of different transactions in timestamp
-    order, allowing execution to be parallelised at the level of operations
-    rather than whole transactions (the paper notes OXII's graph generator can
-    be designed this way, citing DGCC).  Construction is per record: an
-    operation only checks earlier accessors of its own key, so the cost is
-    proportional to the conflicts present rather than quadratic in the total
-    number of operations.
-    """
-    ordered = sorted(transactions, key=lambda t: t.timestamp)
-    nodes: List[OperationNode] = []
-    edges: List[Tuple[int, int]] = []
-    # Per record: (transaction position, node index, is_read) of earlier accessors.
-    accessors: Dict[str, List[Tuple[int, int, bool]]] = {}
-    for tx_pos, tx in enumerate(ordered):
-        for op in tx.operations():
-            node_index = len(nodes)
-            nodes.append(OperationNode(tx_id=tx.tx_id, operation=op))
-            is_read = op.op_type is OperationType.READ
-            history = accessors.setdefault(op.key, [])
-            for earlier_pos, earlier_index, earlier_is_read in history:
-                if earlier_pos == tx_pos:
-                    continue  # operations of one transaction are not ordered
-                if earlier_is_read and is_read:
-                    continue
-                edges.append((earlier_index, node_index))
-            history.append((tx_pos, node_index, is_read))
-    return OperationGraph(nodes, edges)
 
 
 def contention_statistics(graph: DependencyGraph) -> Mapping[str, float]:

@@ -2,7 +2,7 @@
 
 The three procedures an OXII executor runs concurrently are factored into
 plain, deployment-independent classes so the same logic drives the simulated
-executor nodes, the thread-pool executor and the unit tests:
+executor nodes, the whole-block engine and the unit tests:
 
 * :class:`CountdownScheduler` — Algorithm 1 on the dense integer index space
   of :mod:`repro.core.graph_core`.  Keeps an array of remaining-predecessor
@@ -195,10 +195,9 @@ class CountdownScheduler:
 class GraphScheduler:
     """Algorithm 1 — string-keyed facade over :class:`CountdownScheduler`.
 
-    Kept as the drop-in surface the executor nodes and the thread-pool
-    executor program against; every call translates transaction ids to block
-    positions once and delegates, so the facade inherits the countdown
-    scheduler's O(V+E) total cost.  ``executed``/``committed`` are exposed as
+    Kept as the drop-in surface the executor nodes program against; every
+    call translates transaction ids to block positions once and delegates,
+    so the facade inherits the countdown scheduler's O(V+E) total cost.  ``executed``/``committed`` are exposed as
     read-only dict-key views (set-like, always current) rather than per-access
     set copies.
     """

@@ -118,19 +118,6 @@ class AdjacencyDAG:
         dag._edge_count = edge_count
         return dag
 
-    def add_edge(self, u: int, v: int) -> None:
-        """Add the edge ``u -> v``; requires ``u < v`` (callers dedupe)."""
-        if not 0 <= u < self._n or not 0 <= v < self._n:
-            raise ValueError(f"edge ({u}, {v}) out of range for {self._n} nodes")
-        if u >= v:
-            raise ValueError(f"edge ({u}, {v}) must point forward (u < v)")
-        self._succ[u].append(v)
-        self._pred[v].append(u)
-        self._in_degree[v] += 1
-        self._out_degree[u] += 1
-        self._edge_count += 1
-        self._edge_arrays = None
-
     # ------------------------------------------------------------------ shape
     @property
     def n(self) -> int:
@@ -263,9 +250,9 @@ class AdjacencyDAG:
         """The edges as parallel ``(sources, targets)`` numpy arrays, cached.
 
         Returns ``None`` when numpy is unavailable — callers fall back to the
-        per-edge Python loop.  Built once per graph (graphs are immutable
-        after construction on the hot path) so every vectorised whole-block
-        pass over the edges shares the arrays.
+        per-edge Python loop.  Built once per graph (graphs are immutable)
+        so every vectorised whole-block pass over the edges shares the
+        arrays.
         """
         if not HAVE_NUMPY:
             return None

@@ -11,31 +11,12 @@ application's smart contract interprets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import hashlib
 
 from repro.common.errors import TransactionError
 from repro.crypto.hashing import content_hash, encode_object_tuple
-
-
-class OperationType(str, Enum):
-    """A single read or write access to one record."""
-
-    READ = "read"
-    WRITE = "write"
-
-
-@dataclass(frozen=True)
-class Operation:
-    """One access to a single record, used by DGCC-style operation-level graphs."""
-
-    op_type: OperationType
-    key: str
-
-    def canonical_tuple(self) -> tuple:
-        return ("op", self.op_type.value, self.key)
 
 
 @dataclass(frozen=True)
@@ -132,12 +113,6 @@ class Transaction:
     def write_set(self) -> FrozenSet[str]:
         """``omega(T)`` — records written by this transaction."""
         return self.rw_set.writes
-
-    def operations(self) -> Tuple[Operation, ...]:
-        """Flatten the read/write sets into per-record operations."""
-        reads = tuple(Operation(OperationType.READ, k) for k in sorted(self.read_set))
-        writes = tuple(Operation(OperationType.WRITE, k) for k in sorted(self.write_set))
-        return reads + writes
 
     def with_timestamp(self, timestamp: int) -> "Transaction":
         """Return a copy stamped with its position in the total order.

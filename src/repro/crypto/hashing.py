@@ -89,9 +89,10 @@ def _write_dict(value: dict, out: bytearray) -> None:
         _write(item, out)
 
 
-#: Exact-type dispatch for the hot serialisation path; subclasses (e.g. the
-#: ``str``-backed ``OperationType`` enum) fall through to :func:`_write_slow`,
-#: which replicates the original ``isinstance`` chain byte-for-byte.
+#: Exact-type dispatch for the hot serialisation path; subclasses (e.g.
+#: ``str``-backed enums such as ``ConflictType``) fall through to
+#: :func:`_write_slow`, which replicates the original ``isinstance`` chain
+#: byte-for-byte.
 _WRITERS = {
     str: _write_str,
     int: _write_int,

@@ -416,11 +416,11 @@ def single_point_spec(
     generator: str = "accounting",
     tags: Sequence[str] = (),
 ) -> ExperimentSpec:
-    """Convenience: a one-scenario, one-load spec (the ``run_paradigm`` shape).
+    """Convenience: a one-scenario, one-load spec (the ``execute_run`` shape).
 
-    Defaults (duration 2.0, drain 20.0, warmup 0.2) mirror ``run_paradigm``'s,
-    so the migration documented in docs/experiments.md reproduces identical
-    numbers without extra arguments.
+    Defaults (duration 2.0, drain 20.0, warmup 0.2) mirror ``execute_run``'s,
+    so a spec and a direct call reproduce identical numbers without extra
+    arguments.
     """
     scenario = ScenarioSpec(
         name=name,

@@ -8,17 +8,13 @@ smart contracts.  This package provides the first two:
   hash-link verification.
 * :class:`~repro.ledger.state.WorldState` — a versioned key-value datastore
   (the single-version store the default dependency-graph rules target).
-* :class:`~repro.ledger.mvcc.MultiVersionStore` — a multi-version datastore
-  supporting the relaxed dependency rules discussed in Section III-A.
 """
 
 from repro.ledger.ledger import Ledger
 from repro.ledger.state import StateSnapshot, VersionedValue, WorldState
-from repro.ledger.mvcc import MultiVersionStore
 
 __all__ = [
     "Ledger",
-    "MultiVersionStore",
     "StateSnapshot",
     "VersionedValue",
     "WorldState",

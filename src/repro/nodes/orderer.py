@@ -22,7 +22,7 @@ from repro.common.config import SystemConfig
 from repro.consensus.base import ConsensusDecision, OrderingService, make_ordering_service
 from repro.core.block import Block
 from repro.core.block_builder import BlockBuilder, PendingBlock
-from repro.core.dependency_graph import GraphConstruction, GraphMode
+from repro.core.dependency_graph import GraphMode
 from repro.core.transaction import Transaction
 from repro.crypto.signatures import KeyRegistry
 from repro.network.message import Envelope
@@ -68,7 +68,6 @@ class OrdererNode(BaseNode):
             tx_size_bytes=config.latency.per_tx_bytes,
             generate_graphs=generate_graphs,
             graph_mode=graph_mode,
-            graph_construction=GraphConstruction(config.graph_construction),
         )
         self.consensus: OrderingService = make_ordering_service(
             config.consensus_protocol,

@@ -10,23 +10,21 @@ Each deployment builds a fresh simulated cluster for one experiment run:
   service that generates dependency graphs and executors that run Algorithms
   1–3.
 
-:func:`~repro.paradigms.run.run_paradigm` is the one-call entry point used by
-the examples and the benchmark harness.
+:func:`~repro.paradigms.run.execute_run` is the one-call entry point used by
+the examples, the sweep engine and the benchmark harness.
 """
 
 from repro.paradigms.base import Deployment, DeploymentHandles
 from repro.paradigms.ox import OXDeployment
 from repro.paradigms.xov import XOVDeployment
 from repro.paradigms.oxii import OXIIDeployment
-from repro.paradigms.run import PARADIGMS, execute_run, run_paradigm
+from repro.paradigms.run import execute_run
 
 __all__ = [
     "Deployment",
     "DeploymentHandles",
     "OXDeployment",
     "OXIIDeployment",
-    "PARADIGMS",
     "XOVDeployment",
     "execute_run",
-    "run_paradigm",
 ]

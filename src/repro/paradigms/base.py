@@ -314,6 +314,13 @@ class Deployment(abc.ABC):
         lands in ``RunMetrics.extra["phase_times"]``.  Profiling never changes
         simulated behaviour — only wall-clock instrumentation is added.
         """
+        # Same rules and messages as ExperimentSpec: a negative drain ends the
+        # run before submission does, and a warmup outside [0, 1) leaves a
+        # measurement window that is too wide or empty.
+        if drain < 0:
+            raise ConfigurationError("duration must be positive and drain >= 0")
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ConfigurationError("warmup_fraction must be in [0, 1)")
         if driver is None:
             if transactions is None or schedule is None:
                 raise ValueError("run() needs either a driver or (transactions, schedule)")

@@ -2,15 +2,14 @@
 
 :func:`execute_run` is the primitive every layer shares: resolve the paradigm
 and workload generator from the global registries, generate the workload, and
-run one deployment at one offered load.  :func:`run_paradigm` is the legacy
-public entry point, kept as a deprecated shim over :func:`execute_run`; new
-code should describe experiments declaratively with
-:mod:`repro.experiments` and let the sweep engine call :func:`execute_run`.
+run one deployment at one offered load.  It is the only single-run entry
+point; multi-point experiments are described declaratively with
+:mod:`repro.experiments` and the sweep engine calls :func:`execute_run` per
+point.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Optional
 
@@ -21,12 +20,6 @@ from repro.common.rng import child_seed
 from repro.metrics.collector import RunMetrics
 from repro.workload.arrivals import poisson_rate
 from repro.workload.generator import WorkloadConfig
-
-#: Legacy name→deployment mapping, now a live read-only view over
-#: :data:`repro.common.registry.paradigm_registry` so paradigms registered
-#: with ``@register_paradigm`` appear here automatically.
-PARADIGMS = paradigm_registry.as_mapping()
-
 
 def prepare_workload(
     generator: str,
@@ -200,38 +193,4 @@ def execute_run(
         drain=drain,
         fault_schedule=fault_schedule,
         profile=profile,
-    )
-
-
-def run_paradigm(
-    paradigm: str,
-    system_config: Optional[SystemConfig] = None,
-    workload_config: Optional[WorkloadConfig] = None,
-    offered_load: float = 1000.0,
-    duration: float = 2.0,
-    warmup_fraction: float = 0.2,
-    drain: float = 20.0,
-    seed: Optional[int] = None,
-) -> RunMetrics:
-    """Deprecated single-run entry point; use :mod:`repro.experiments` instead.
-
-    Behaves exactly like :func:`execute_run` with the built-in accounting
-    workload generator; kept (and tested) for backwards compatibility.
-    """
-    warnings.warn(
-        "run_paradigm() is deprecated; describe the run as an ExperimentSpec and "
-        "use repro.experiments.SweepEngine (or repro.paradigms.run.execute_run "
-        "for a single point)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_run(
-        paradigm,
-        system_config=system_config,
-        workload_config=workload_config,
-        offered_load=offered_load,
-        duration=duration,
-        warmup_fraction=warmup_fraction,
-        drain=drain,
-        seed=seed,
     )

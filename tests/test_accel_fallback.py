@@ -24,7 +24,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 _PROBE = """
 import json
 from repro.core._accel import HAVE_NUMPY
-from repro.core.dependency_graph import GraphConstruction, build_dependency_graph
+from benchmarks.seed_reference import all_pairs_graph
+from repro.core.dependency_graph import build_dependency_graph
 from repro.core.transaction import ReadWriteSet, Transaction
 import random
 
@@ -41,10 +42,10 @@ txs = [
     for i in range(64)
 ]
 out = {"have_numpy": HAVE_NUMPY}
-for construction in (GraphConstruction.ALL_PAIRS, GraphConstruction.SPARSE):
-    graph = build_dependency_graph(txs, construction=construction)
+for name, build in (("all_pairs", all_pairs_graph), ("sparse", build_dependency_graph)):
+    graph = build(txs)
     arrays = graph.dag.edge_index_arrays()
-    out[construction.value] = {
+    out[name] = {
         "waves": graph.dag.wave_partition(),
         "histogram": graph.parallelism_profile(),
         "flags": list(graph.cross_application_successor_flags()),
@@ -59,7 +60,8 @@ print(json.dumps(out))
 
 def _run_probe(no_numpy: bool) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    # The repo root makes the all-pairs reference in benchmarks/ importable.
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
     env.pop("REPRO_NO_NUMPY", None)
     if no_numpy:
         env["REPRO_NO_NUMPY"] = "1"

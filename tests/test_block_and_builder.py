@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.seed_reference import all_pairs_graph
 from repro.common.config import BlockCutPolicy
 from repro.common.errors import LedgerError
 from repro.core.block import Block
@@ -159,50 +160,33 @@ class TestBlockBuilderSealing:
         assert len(pending.graph) == 3
         block = builder.seal(pending, now=0.1)
         assert block.dependency_graph is pending.graph
-        # The incrementally grown graph equals the batch build of the same
-        # construction (sparse by default: a 3-writer chain keeps 2 edges, the
-        # t0->t2 edge is transitively implied).
-        batch = build_dependency_graph(
-            pending.transactions, construction=builder.graph_construction
-        )
+        # The incrementally grown graph equals the batch build (sparse: a
+        # 3-writer chain keeps 2 edges, the t0->t2 edge is transitively
+        # implied).
+        batch = build_dependency_graph(pending.transactions)
         assert block.dependency_graph.canonical_tuple() == batch.canonical_tuple()
         assert block.dependency_graph.edge_count == 2
-        all_pairs = build_dependency_graph(pending.transactions)
+        all_pairs = all_pairs_graph(pending.transactions)
         assert all_pairs.edge_count == 3
         assert block.dependency_graph.critical_path_length() == all_pairs.critical_path_length()
 
-    def test_builder_can_keep_all_pairs_construction(self):
-        from repro.core.dependency_graph import GraphConstruction
-
-        builder = BlockBuilder(
-            BlockCutPolicy(max_transactions=3),
-            generate_graphs=True,
-            graph_construction=GraphConstruction.ALL_PAIRS,
-        )
-        pending = None
-        for i in range(3):
-            pending = builder.add(make_tx(f"t{i}", reads=["hot"], writes=["hot"]), 0.0) or pending
-        block = builder.seal(pending, now=0.1)
-        assert block.dependency_graph.construction is GraphConstruction.ALL_PAIRS
-        assert block.dependency_graph.edge_count == 3
-
-    def test_seal_rebuilds_graph_on_construction_mismatch(self):
-        """A pending graph of the wrong construction is rebuilt, not reused."""
+    def test_seal_rebuilds_graph_on_mode_mismatch(self):
+        """A pending graph of the wrong datastore mode is rebuilt, not reused."""
         from repro.core.block_builder import PendingBlock
-        from repro.core.dependency_graph import GraphConstruction
+        from repro.core.dependency_graph import GraphMode
 
         builder = BlockBuilder(BlockCutPolicy(max_transactions=10), generate_graphs=True)
-        assert builder.graph_construction is GraphConstruction.SPARSE
+        assert builder.graph_mode is GraphMode.SINGLE_VERSION
         txs = tuple(
             make_tx(f"t{i}", reads=["hot"], writes=["hot"], timestamp=i + 1) for i in range(3)
         )
-        foreign = build_dependency_graph(txs)  # all-pairs
+        foreign = build_dependency_graph(txs, mode=GraphMode.MULTI_VERSION)
         pending = PendingBlock(
             transactions=txs, reason=CutReason.FORCED, opened_at=0.0, cut_at=0.0, graph=foreign
         )
         block = builder.seal(pending, now=0.1)
         assert block.dependency_graph is not foreign
-        assert block.dependency_graph.construction is GraphConstruction.SPARSE
+        assert block.dependency_graph.mode is GraphMode.SINGLE_VERSION
         assert block.dependency_graph.edge_count == 2
 
     def test_incremental_graph_does_not_leak_across_blocks(self):

@@ -5,16 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.seed_reference import all_pairs_graph, ancestor_bitmasks
 from repro.common.errors import DependencyGraphError
 from repro.core.dependency_graph import (
     ConflictType,
-    DependencyEdge,
     DependencyGraph,
-    GraphConstruction,
     GraphMode,
     StreamingGraphBuilder,
     build_dependency_graph,
-    build_operation_graph,
     conflicts,
     contention_statistics,
     has_ordering_dependency,
@@ -130,12 +128,6 @@ class TestGraphStructure:
         assert order.index("T5") < order.index("T2")
         assert order.index("T5") < order.index("T3")
 
-    def test_subgraph_for_application(self):
-        graph = build_dependency_graph(paper_example_block())
-        sub = graph.subgraph_for_application("app-2")
-        assert set(sub.transaction_ids) == {"T5", "T4", "T2"}
-        assert {(e.source, e.target) for e in sub.edges()} == {("T5", "T2")}
-
     def test_single_transaction_is_trivially_a_chain(self):
         graph = build_dependency_graph([make_tx("only", writes=["x"], timestamp=1)])
         assert graph.is_chain()
@@ -176,8 +168,10 @@ class TestGraphEdgeCases:
         graph = build_dependency_graph(txs)
         assert graph.is_chain()
         assert graph.critical_path_length() == n
-        # Every ordered pair conflicts, so the chain carries all transitive edges.
-        assert graph.edge_count == n * (n - 1) // 2
+        # Every ordered pair conflicts; the sparse graph keeps only the chain
+        # itself, the all-pairs reference carries every transitive edge.
+        assert graph.edge_count == n - 1
+        assert all_pairs_graph(txs).edge_count == n * (n - 1) // 2
         assert graph.parallelism_profile() == [1] * n
         assert len(graph.components()) == 1
 
@@ -188,7 +182,7 @@ class TestGraphEdgeCases:
             make_tx("w2", writes=["x"], timestamp=3),
             make_tx("r2", reads=["x"], timestamp=4),
         ]
-        single = build_dependency_graph(txs, mode=GraphMode.SINGLE_VERSION)
+        single = all_pairs_graph(txs, mode=GraphMode.SINGLE_VERSION)
         multi = build_dependency_graph(txs, mode=GraphMode.MULTI_VERSION)
         single_pairs = {(e.source, e.target) for e in single.edges()}
         multi_pairs = {(e.source, e.target) for e in multi.edges()}
@@ -282,18 +276,19 @@ class TestSparseConstruction:
     that write; a new writer depends on the reader frontier (or the last
     writer when no reads intervened), a new reader depends on the last
     writer.  Waves, reachability and committed state are identical to the
-    all-pairs graph — pinned generatively in ``test_graph_properties.py``;
-    these tests pin the exact edge sets on hand-built shapes.
+    all-pairs reference graph — pinned generatively in
+    ``test_graph_properties.py``; these tests pin the exact edge sets on
+    hand-built shapes.
     """
 
     def _sparse(self, txs, mode=GraphMode.SINGLE_VERSION):
-        return build_dependency_graph(txs, mode=mode, construction=GraphConstruction.SPARSE)
+        return build_dependency_graph(txs, mode=mode)
 
     def test_writer_chain_keeps_only_adjacent_edges(self):
         txs = [make_tx(f"w{i}", writes=["x"], timestamp=i + 1) for i in range(4)]
         sparse = self._sparse(txs)
         assert set(sparse.dag.edges()) == {(0, 1), (1, 2), (2, 3)}
-        all_pairs = build_dependency_graph(txs)
+        all_pairs = all_pairs_graph(txs)
         assert all_pairs.edge_count == 6  # every ordered pair
         assert sparse.critical_path_length() == all_pairs.critical_path_length() == 4
 
@@ -308,7 +303,7 @@ class TestSparseConstruction:
         # w3 depends on the reader frontier {r1, r2}, not on w0 directly —
         # w0 ~> w3 is transitively implied through either reader.
         assert set(sparse.dag.edges()) == {(0, 1), (0, 2), (1, 3), (2, 3)}
-        assert build_dependency_graph(txs).edge_count == 5
+        assert all_pairs_graph(txs).edge_count == 5
         assert sparse.dag.longest_path_depths() == [0, 1, 1, 2]
 
     def test_write_after_frontier_clears_readers(self):
@@ -339,13 +334,13 @@ class TestSparseConstruction:
             make_tx("r2", reads=["x"], timestamp=3),
         ]
         sparse = self._sparse(txs, mode=GraphMode.MULTI_VERSION)
-        dense = build_dependency_graph(txs, mode=GraphMode.MULTI_VERSION)
+        dense = all_pairs_graph(txs, mode=GraphMode.MULTI_VERSION)
         # Only w->r edges exist under MVCC; writers are mutually unreachable,
         # so no edge is transitively redundant and sparse == all-pairs.
         assert set(sparse.dag.edges()) == set(dense.dag.edges()) == {(0, 2), (1, 2)}
 
     def test_streaming_sparse_reset_clears_frontiers(self):
-        builder = StreamingGraphBuilder(construction=GraphConstruction.SPARSE)
+        builder = StreamingGraphBuilder()
         builder.add(make_tx("w", writes=["x"], timestamp=1))
         builder.add(make_tx("r", reads=["x"], timestamp=2))
         builder.reset()
@@ -353,14 +348,6 @@ class TestSparseConstruction:
         # next block.
         assert builder.add(make_tx("r2", reads=["x"], timestamp=1)) == 0
         assert builder.add(make_tx("w2", writes=["x"], timestamp=2)) == 1  # from r2 only
-
-    def test_construction_is_carried_by_graph_and_subgraphs(self):
-        txs = paper_example_block()
-        sparse = self._sparse(txs)
-        assert sparse.construction is GraphConstruction.SPARSE
-        sub = sparse.subgraph_for_application("app-2")
-        assert sub.construction is GraphConstruction.SPARSE
-        assert build_dependency_graph(txs).construction is GraphConstruction.ALL_PAIRS
 
     def test_execution_on_sparse_graph_matches_all_pairs(self):
         from repro.core.execution import ExecutionEngine
@@ -378,14 +365,20 @@ class TestSparseConstruction:
         sparse_state, dense_state = {}, {}
         sparse_results = ExecutionEngine(runner, sparse_state).execute_with_graph(self._sparse(txs))
         dense_results = ExecutionEngine(runner, dense_state).execute_with_graph(
-            build_dependency_graph(txs)
+            all_pairs_graph(txs)
         )
         assert sparse_state == dense_state
         assert sparse_results == dense_results
 
 
 class TestNetworkxEquivalence:
-    """The native adjacency core must match the seed's networkx results."""
+    """The native adjacency core must match the seed's networkx results.
+
+    networkx builds the pairwise graph; the all-pairs reference must equal it
+    edge for edge, and the sparse production graph must keep a subset of its
+    edges with the same closure-derived answers (critical path, components,
+    topological order).
+    """
 
     @staticmethod
     def _random_blocks(count=25, max_size=40, keys=8):
@@ -426,9 +419,9 @@ class TestNetworkxEquivalence:
                     for later in txs[i + 1 :]:
                         if has_ordering_dependency(earlier, later, mode):
                             reference.add_edge(earlier.tx_id, later.tx_id)
-                assert {(e.source, e.target) for e in graph.edges()} == set(
-                    reference.edges()
-                )
+                pairwise = set(reference.edges())
+                assert {(e.source, e.target) for e in all_pairs_graph(txs, mode).edges()} == pairwise
+                assert {(e.source, e.target) for e in graph.edges()} <= pairwise
                 assert graph.critical_path_length() == (
                     nx.dag_longest_path_length(reference) + 1 if txs else 0
                 )
@@ -457,20 +450,22 @@ class TestNetworkxEquivalence:
 class TestGraphValidation:
     def test_duplicate_transaction_ids_rejected(self):
         txs = [make_tx("dup", timestamp=1), make_tx("dup", timestamp=2)]
-        with pytest.raises(DependencyGraphError):
-            DependencyGraph(txs, edges=[])
+        with pytest.raises(DependencyGraphError, match="duplicate transaction id 'dup'"):
+            DependencyGraph(txs, [(), ()])
 
     def test_edge_against_timestamp_order_rejected(self):
         txs = [make_tx("a", timestamp=1), make_tx("b", timestamp=2)]
-        bad_edge = DependencyEdge(source="b", target="a", kinds=(ConflictType.WRITE_WRITE,))
+        # "b" (position 1) listed as a predecessor of "a" (position 0).
         with pytest.raises(DependencyGraphError):
-            DependencyGraph(txs, edges=[bad_edge])
+            DependencyGraph(txs, [{1}, ()])
 
     def test_edge_with_unknown_transaction_rejected(self):
         txs = [make_tx("a", timestamp=1)]
-        bad_edge = DependencyEdge(source="a", target="ghost", kinds=(ConflictType.WRITE_WRITE,))
         with pytest.raises(DependencyGraphError):
-            DependencyGraph(txs, edges=[bad_edge])
+            DependencyGraph(txs, [{-1}])
+        # One predecessor list per transaction, no more and no fewer.
+        with pytest.raises(DependencyGraphError):
+            DependencyGraph(txs, [(), ()])
 
     def test_unknown_lookup_rejected(self):
         graph = build_dependency_graph([make_tx("a", timestamp=1)])
@@ -481,81 +476,6 @@ class TestGraphValidation:
         txs = [make_tx("a", writes=["x"], timestamp=1), make_tx("b", writes=["x"], timestamp=1)]
         with pytest.raises(DependencyGraphError):
             build_dependency_graph(txs)
-
-
-class TestOperationGraph:
-    def test_operation_graph_splits_transactions(self):
-        txs = [
-            make_tx("a", reads=["x"], writes=["y"], timestamp=1),
-            make_tx("b", reads=["y"], writes=["z"], timestamp=2),
-        ]
-        graph = build_operation_graph(txs)
-        assert graph.number_of_nodes() == 4
-        # a's write of y must precede b's read of y.
-        assert graph.has_edge("a:write:y", "b:read:y")
-
-    def test_reads_do_not_conflict_at_operation_level(self):
-        txs = [
-            make_tx("a", reads=["x"], timestamp=1),
-            make_tx("b", reads=["x"], timestamp=2),
-        ]
-        graph = build_operation_graph(txs)
-        assert graph.number_of_edges() == 0
-
-    def test_same_transaction_operations_are_not_ordered(self):
-        txs = [make_tx("a", reads=["x"], writes=["x"], timestamp=1)]
-        graph = build_operation_graph(txs)
-        assert graph.number_of_nodes() == 2
-        assert graph.number_of_edges() == 0
-
-    def test_neighbour_queries_and_order(self):
-        txs = [
-            make_tx("a", writes=["x"], timestamp=1),
-            make_tx("b", reads=["x"], writes=["x"], timestamp=2),
-        ]
-        graph = build_operation_graph(txs)
-        assert graph.successors("a:write:x") == {"b:read:x", "b:write:x"}
-        assert graph.predecessors("b:write:x") == {"a:write:x"}
-        order = graph.topological_order()
-        assert order.index("a:write:x") < order.index("b:read:x")
-
-    def test_matches_networkx_pairwise_reference(self):
-        """Per-key construction equals the seed's all-pairs networkx build."""
-        nx = pytest.importorskip("networkx")
-        from repro.core.transaction import OperationType
-
-        import random
-
-        rng = random.Random(99)
-        keys = [f"k{i}" for i in range(5)]
-        txs = []
-        for i in range(15):
-            reads = frozenset(rng.sample(keys, rng.randint(0, 2)))
-            writes = frozenset(rng.sample(keys, rng.randint(0, 2)))
-            txs.append(make_tx(f"t{i}", reads=reads, writes=writes, timestamp=i + 1))
-        graph = build_operation_graph(txs)
-        reference = nx.DiGraph()
-        ordered = sorted(txs, key=lambda t: t.timestamp)
-        for tx in ordered:
-            for op in tx.operations():
-                reference.add_node(f"{tx.tx_id}:{op.op_type.value}:{op.key}")
-        for i, earlier_tx in enumerate(ordered):
-            for later_tx in ordered[i + 1 :]:
-                for earlier_op in earlier_tx.operations():
-                    for later_op in later_tx.operations():
-                        if earlier_op.key != later_op.key:
-                            continue
-                        if (
-                            earlier_op.op_type is OperationType.READ
-                            and later_op.op_type is OperationType.READ
-                        ):
-                            continue
-                        reference.add_edge(
-                            f"{earlier_tx.tx_id}:{earlier_op.op_type.value}:{earlier_op.key}",
-                            f"{later_tx.tx_id}:{later_op.op_type.value}:{later_op.key}",
-                        )
-        assert set(graph.nodes()) == set(reference.nodes())
-        assert set(graph.edges()) == set(reference.edges())
 
 
 # ----------------------------------------------------------- property tests
@@ -577,14 +497,20 @@ class TestDependencyGraphProperties:
     @given(_random_block())
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_pairwise_definition(self, txs):
-        """The per-record construction equals the paper's pairwise definition."""
+        """The sparse construction orders exactly the pairs the paper's
+        pairwise definition orders: its edges are pairwise conflicts and its
+        transitive closure is the pairwise graph's."""
         graph = build_dependency_graph(txs)
         expected = set()
         for i, earlier in enumerate(txs):
             for later in txs[i + 1 :]:
                 if has_ordering_dependency(earlier, later):
                     expected.add((earlier.tx_id, later.tx_id))
-        assert {(e.source, e.target) for e in graph.edges()} == expected
+        assert {(e.source, e.target) for e in graph.edges()} <= expected
+        # The reference has exactly the ``expected`` edges (pinned in
+        # test_graph_properties.py), so equal ancestor sets mean the sparse
+        # graph orders exactly the pairs the definition orders.
+        assert ancestor_bitmasks(graph.dag) == ancestor_bitmasks(all_pairs_graph(txs).dag)
 
     @given(_random_block())
     @settings(max_examples=60, deadline=None)
@@ -599,7 +525,7 @@ class TestDependencyGraphProperties:
     @given(_random_block())
     @settings(max_examples=60, deadline=None)
     def test_multi_version_graph_is_subgraph_of_single_version(self, txs):
-        single = build_dependency_graph(txs, mode=GraphMode.SINGLE_VERSION)
+        single = all_pairs_graph(txs, mode=GraphMode.SINGLE_VERSION)
         multi = build_dependency_graph(txs, mode=GraphMode.MULTI_VERSION)
         single_edges = {(e.source, e.target) for e in single.edges()}
         multi_edges = {(e.source, e.target) for e in multi.edges()}

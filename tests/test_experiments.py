@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.experiments import (
 )
 from repro.common.config import SystemConfig
 from repro.paradigms import OXIIDeployment
-from repro.paradigms.run import PARADIGMS, execute_run, run_paradigm
+from repro.paradigms.run import execute_run, make_deployment, prepare_driver
 from repro.workload.generator import ConflictScope, WorkloadConfig
 
 QUICK_RUN = dict(duration=0.4, drain=1.0)
@@ -213,7 +212,7 @@ class TestConfigOverrides:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(PARADIGMS) == {"OX", "XOV", "OXII"}
+        assert set(paradigm_registry) == {"OX", "XOV", "OXII"}
         assert paradigm_registry.get("oxii") is OXIIDeployment  # case-insensitive
 
     def test_unknown_name_lists_known(self):
@@ -241,17 +240,17 @@ class TestRegistry:
                 for app in contracts.applications()
             ), deployment_cls.__name__
 
-    def test_decorator_registration_and_live_view(self):
+    def test_decorator_registration(self):
         @register_paradigm("TESTONLY")
         class TestOnlyDeployment(OXIIDeployment):
             pass
 
         try:
-            assert "TESTONLY" in PARADIGMS  # live view over the registry
-            assert PARADIGMS["testonly"] is TestOnlyDeployment
+            assert "TESTONLY" in paradigm_registry
+            assert paradigm_registry.get("testonly") is TestOnlyDeployment
         finally:
             paradigm_registry.unregister("TESTONLY")
-        assert "TESTONLY" not in PARADIGMS
+        assert "TESTONLY" not in paradigm_registry
 
 
 class TestSweepEngine:
@@ -341,29 +340,23 @@ class TestFigureSpecEquivalence:
             assert scenario.system == {"block_cut": {"max_transactions": 400}}
 
 
-class TestRunParadigmShim:
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="run_paradigm"):
-            run_paradigm("OXII", offered_load=200.0, **QUICK_RUN)
-
-    def test_shim_matches_engine(self):
+class TestExecuteRun:
+    def test_execute_run_matches_engine(self):
         spec = single_point_spec(
-            "shim", "OXII", offered_load=300.0, contention=0.2, seed=11, **QUICK_RUN
+            "point", "OXII", offered_load=300.0, contention=0.2, seed=11, **QUICK_RUN
         )
         engine_metrics = SweepEngine(parallel=False).run(spec).rows[0].metrics
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim_metrics = run_paradigm(
-                "OXII",
-                offered_load=300.0,
-                workload_config=WorkloadConfig(num_applications=3, contention=0.2),
-                seed=11,
-                **QUICK_RUN,
-            )
-        assert shim_metrics == engine_metrics
+        direct_metrics = execute_run(
+            "OXII",
+            offered_load=300.0,
+            workload_config=WorkloadConfig(num_applications=3, contention=0.2),
+            seed=11,
+            **QUICK_RUN,
+        )
+        assert direct_metrics == engine_metrics
 
     def test_seed_copy_preserves_every_workload_field(self):
-        # The old shim rebuilt WorkloadConfig field-by-field and silently
+        # An earlier single-run helper rebuilt WorkloadConfig field-by-field and silently
         # dropped newly added fields; dataclasses.replace must keep them all.
         custom = WorkloadConfig(
             num_applications=3, num_clients=5, contention=0.5, hot_accounts=2
@@ -384,7 +377,32 @@ class TestRunParadigmShim:
         assert with_seed == explicit
 
     def test_unknown_paradigm_raises_configuration_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigurationError, match="unknown paradigm"):
-                run_paradigm("pow")
+        with pytest.raises(ConfigurationError, match="unknown paradigm"):
+            execute_run("pow")
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ({"drain": -1.0}, "drain >= 0"),
+            ({"warmup_fraction": -0.5}, r"warmup_fraction must be in \[0, 1\)"),
+            ({"warmup_fraction": 1.0}, r"warmup_fraction must be in \[0, 1\)"),
+        ],
+        ids=["negative-drain", "negative-warmup", "warmup-one"],
+    )
+    def test_invalid_run_window_rejected(self, window, message):
+        """A negative drain ends the run early and a warmup outside [0, 1)
+        skews or empties the measurement window; both must fail loudly with
+        ExperimentSpec's messages, whether the run comes from execute_run or
+        straight from Deployment.run."""
+        with pytest.raises(ConfigurationError, match=message):
+            execute_run("OX", offered_load=200.0, duration=2.0, **window)
+        config, driver, initial_state = prepare_driver(
+            "accounting", SystemConfig(), WorkloadConfig(), 200.0, 2.0
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            make_deployment("OX", config).run(
+                driver=driver, initial_state=initial_state, **window
+            )
+        spec_window = {"duration": 2.0, "drain": 1.0, "warmup_fraction": 0.2, **window}
+        with pytest.raises(ConfigurationError, match=message):
+            tiny_spec(**spec_window)

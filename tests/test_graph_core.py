@@ -29,37 +29,33 @@ class TestUnionFind:
             UnionFind(-1)
 
 
-class TestAdjacencyDAG:
-    def test_add_edge_validates_range_and_direction(self):
-        dag = AdjacencyDAG(3)
-        with pytest.raises(ValueError):
-            dag.add_edge(0, 3)
-        with pytest.raises(ValueError):
-            dag.add_edge(2, 1)  # must point forward
-        with pytest.raises(ValueError):
-            dag.add_edge(1, 1)
+def _dag(n, edges):
+    """An AdjacencyDAG over ``n`` nodes holding ``edges`` (each ``u < v``)."""
+    incoming = [[] for _ in range(n)]
+    for u, v in edges:
+        incoming[v].append(u)
+    return AdjacencyDAG.from_incoming(incoming)
 
-    def test_from_incoming_matches_add_edge(self):
-        incremental = AdjacencyDAG(4)
-        for u, v in [(0, 2), (1, 2), (2, 3)]:
-            incremental.add_edge(u, v)
-        bulk = AdjacencyDAG.from_incoming([(), (), {0, 1}, [2]])
-        assert bulk.edge_count == incremental.edge_count == 3
-        assert bulk.roots() == incremental.roots() == [0, 1]
-        assert bulk.predecessors(2) == [0, 1]
-        assert bulk.longest_path_depths() == incremental.longest_path_depths()
+
+class TestAdjacencyDAG:
+    def test_from_incoming_builds_both_directions(self):
+        dag = AdjacencyDAG.from_incoming([(), (), {0, 1}, [2]])
+        assert dag.edge_count == 3
+        assert dag.roots() == [0, 1]
+        assert dag.predecessors(2) == [0, 1]
+        assert dag.successors(0) == [2] and dag.successors(2) == [3]
+        assert dag.longest_path_depths() == [0, 0, 1, 2]
 
     def test_from_incoming_rejects_forward_references(self):
         with pytest.raises(ValueError):
             AdjacencyDAG.from_incoming([(), {1}])  # 1 is not < 1
         with pytest.raises(ValueError):
             AdjacencyDAG.from_incoming([(), {-1}])
+        with pytest.raises(ValueError):
+            AdjacencyDAG.from_incoming([{1}, ()])  # must point forward
 
     def test_structure_queries(self):
-        dag = AdjacencyDAG(5)
-        dag.add_edge(0, 1)
-        dag.add_edge(1, 4)
-        dag.add_edge(2, 3)
+        dag = _dag(5, [(0, 1), (1, 4), (2, 3)])
         assert dag.critical_path_length() == 3  # 0 -> 1 -> 4
         assert dag.components() == [[0, 1, 4], [2, 3]]
         assert sorted(dag.edges()) == [(0, 1), (1, 4), (2, 3)]
@@ -72,16 +68,14 @@ class TestAdjacencyDAG:
         rng = random.Random(42)
         for _ in range(20):
             n = rng.randint(1, 30)
-            dag = AdjacencyDAG(n)
-            for v in range(1, n):
-                for u in rng.sample(range(v), min(v, rng.randint(0, 3))):
-                    dag.add_edge(u, v)
+            dag = AdjacencyDAG.from_incoming(
+                [rng.sample(range(v), min(v, rng.randint(0, 3))) for v in range(n)]
+            )
             assert dag.kahn_order() == list(range(n))
             assert dag.topological_order() == list(range(n))
 
     def test_kahn_priority_breaks_ties(self):
-        dag = AdjacencyDAG(4)
-        dag.add_edge(0, 3)
+        dag = _dag(4, [(0, 3)])
         # 1 and 2 are free; a reversed priority releases them before 0's chain.
         order = dag.kahn_order(priority=lambda v: -v)
         assert order.index(2) < order.index(1)

@@ -5,10 +5,11 @@ and ``CountdownScheduler`` and asserts the structural invariants the whole
 execution layer relies on:
 
 * the graph is a DAG whose edges all point forward in block order;
-* an edge exists *iff* the pairwise conflict definition of Section III-A says
-  so (rw/wr/ww under single-version, wr only under multi-version) — i.e. the
-  per-record streaming construction is equivalent to checking every ordered
-  pair;
+* the all-pairs reference graph (:func:`benchmarks.seed_reference.all_pairs_graph`)
+  has an edge *iff* the pairwise conflict definition of Section III-A says so
+  (rw/wr/ww under single-version, wr only under multi-version);
+* the production (sparse) graph keeps only genuine conflict edges and has
+  the reference's transitive closure and waves;
 * the countdown scheduler's waves are a valid topological stratification:
   wave k is exactly the set of transactions at dependency depth k, every
   predecessor settles in an earlier wave, and the waves partition the block.
@@ -24,8 +25,8 @@ from typing import List
 
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.seed_reference import all_pairs_graph, ancestor_bitmasks
 from repro.core.dependency_graph import (
-    GraphConstruction,
     GraphMode,
     StreamingGraphBuilder,
     build_dependency_graph,
@@ -77,10 +78,10 @@ def test_graph_is_a_forward_dag(params):
 @given(block_strategy, st.sampled_from([GraphMode.SINGLE_VERSION, GraphMode.MULTI_VERSION]))
 @SETTINGS
 def test_every_pairwise_conflict_induces_exactly_its_edge(params, mode):
-    """Streaming construction == the paper's every-ordered-pair definition."""
+    """The all-pairs reference == the paper's every-ordered-pair definition."""
     seed, size = params
     txs = random_block(seed, size)
-    graph = build_dependency_graph(txs, mode=mode)
+    graph = all_pairs_graph(txs, mode=mode)
     edges = {(u, v) for u, v in graph.dag.edges()}
     for i in range(len(txs)):
         for j in range(i + 1, len(txs)):
@@ -89,21 +90,6 @@ def test_every_pairwise_conflict_induces_exactly_its_edge(params, mode):
                 f"pair ({txs[i].tx_id}, {txs[j].tx_id}) conflict={expected} "
                 f"but edge={'present' if (i, j) in edges else 'absent'}"
             )
-
-
-def _ancestor_bitmasks(dag) -> List[int]:
-    """reach[v] = bitmask of every node with a path to v (transitive closure).
-
-    Valid because all edges point forward in index order, so the identity is a
-    topological order and predecessors are fully resolved when v is visited.
-    """
-    reach = [0] * dag.n
-    for v in range(dag.n):
-        mask = 0
-        for u in dag.predecessors(v):
-            mask |= reach[u] | (1 << u)
-        reach[v] = mask
-    return reach
 
 
 @given(block_strategy, st.sampled_from([GraphMode.SINGLE_VERSION, GraphMode.MULTI_VERSION]))
@@ -121,14 +107,14 @@ def test_sparse_construction_preserves_closure_and_waves(params, mode):
     """
     seed, size = params
     txs = random_block(seed, size)
-    dense = build_dependency_graph(txs, mode=mode)
-    sparse = build_dependency_graph(txs, mode=mode, construction=GraphConstruction.SPARSE)
+    dense = all_pairs_graph(txs, mode=mode)
+    sparse = build_dependency_graph(txs, mode=mode)
     dense_edges = set(dense.dag.edges())
     sparse_edges = set(sparse.dag.edges())
     assert sparse_edges <= dense_edges, "sparse construction invented a non-conflict edge"
     for u, v in sparse_edges:
         assert has_ordering_dependency(txs[u], txs[v], mode=mode)
-    assert _ancestor_bitmasks(sparse.dag) == _ancestor_bitmasks(dense.dag)
+    assert ancestor_bitmasks(sparse.dag) == ancestor_bitmasks(dense.dag)
     assert sparse.dag.longest_path_depths() == dense.dag.longest_path_depths()
     assert sparse.parallelism_profile() == dense.parallelism_profile()
     assert sparse.components() == dense.components()
@@ -136,25 +122,25 @@ def test_sparse_construction_preserves_closure_and_waves(params, mode):
         assert sparse_edges == dense_edges
 
 
-@given(block_strategy, st.sampled_from([GraphConstruction.ALL_PAIRS, GraphConstruction.SPARSE]))
+@given(block_strategy, st.sampled_from([GraphMode.SINGLE_VERSION, GraphMode.MULTI_VERSION]))
 @SETTINGS
-def test_streaming_builder_equals_batch_build(params, construction):
-    """Incremental (orderer-side) construction == batch build, per construction."""
+def test_streaming_builder_equals_batch_build(params, mode):
+    """Incremental (orderer-side) construction == batch build, per mode."""
     seed, size = params
     txs = random_block(seed, size)
-    builder = StreamingGraphBuilder(construction=construction)
+    builder = StreamingGraphBuilder(mode=mode)
     for tx in txs:
         builder.add(tx)
-    batch = build_dependency_graph(txs, construction=construction)
+    batch = build_dependency_graph(txs, mode=mode)
     assert builder.graph().canonical_tuple() == batch.canonical_tuple()
 
 
-@given(block_strategy, st.sampled_from([GraphConstruction.ALL_PAIRS, GraphConstruction.SPARSE]))
+@given(block_strategy, st.sampled_from([all_pairs_graph, build_dependency_graph]))
 @SETTINGS
-def test_wave_partition_is_the_depth_stratification(params, construction):
+def test_wave_partition_is_the_depth_stratification(params, build):
     """dag.wave_partition() buckets nodes exactly by longest-path depth."""
     seed, size = params
-    graph = build_dependency_graph(random_block(seed, size), construction=construction)
+    graph = build(random_block(seed, size))
     depths = graph.dag.longest_path_depths()
     waves = graph.dag.wave_partition()
     assert sorted(v for wave in waves for v in wave) == list(range(len(graph)))

@@ -1,13 +1,12 @@
-"""Tests for the ledger hash chain, the world state and the MVCC store."""
+"""Tests for the ledger hash chain and the world state."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LedgerError
 from repro.core.block import Block
-from repro.ledger import Ledger, MultiVersionStore, WorldState
+from repro.ledger import Ledger, WorldState
 from tests.conftest import make_tx
 
 
@@ -149,64 +148,3 @@ class TestWorldState:
         assert len(state) == 2
         assert sorted(state) == ["a", "b"]
         assert state.as_dict() == {"a": 1, "b": 2}
-
-
-class TestMultiVersionStore:
-    def test_reads_see_correct_version(self):
-        store = MultiVersionStore({"x": 0})
-        store.write("x", 10, at_timestamp=5)
-        store.write("x", 20, at_timestamp=9)
-        assert store.read("x", 0) == (0, 0)
-        assert store.read("x", 5) == (10, 5)
-        assert store.read("x", 7) == (10, 5)
-        assert store.read("x", 100) == (20, 9)
-        assert store.latest("x") == 20
-
-    def test_read_before_any_version(self):
-        store = MultiVersionStore()
-        assert store.read("x", 3) == (None, None)
-
-    def test_out_of_order_writes_are_supported(self):
-        store = MultiVersionStore()
-        store.write("x", "late", at_timestamp=10)
-        store.write("x", "early", at_timestamp=2)
-        assert store.read("x", 5) == ("early", 2)
-        assert store.read("x", 10) == ("late", 10)
-        assert store.versions_of("x") == [2, 10]
-
-    def test_idempotent_same_write(self):
-        store = MultiVersionStore()
-        store.write("x", 1, at_timestamp=3)
-        store.write("x", 1, at_timestamp=3)
-        assert store.versions_of("x") == [3]
-
-    def test_conflicting_write_at_same_timestamp_rejected(self):
-        store = MultiVersionStore()
-        store.write("x", 1, at_timestamp=3)
-        with pytest.raises(LedgerError):
-            store.write("x", 2, at_timestamp=3)
-
-    def test_prune_keeps_visible_version(self):
-        store = MultiVersionStore()
-        for ts in (1, 2, 3, 4):
-            store.write("x", ts, at_timestamp=ts)
-        removed = store.prune(before_timestamp=3)
-        assert removed == 2
-        assert store.read("x", 3) == (3, 3)
-        assert store.read("x", 10) == (4, 4)
-
-    @given(st.lists(st.tuples(st.integers(1, 50), st.integers(0, 1000)), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_reads_always_return_newest_visible_version(self, writes):
-        """Property: a read at time t sees the write with the largest timestamp <= t."""
-        store = MultiVersionStore()
-        reference = {}
-        for timestamp, value in writes:
-            if timestamp in reference:
-                continue
-            store.write("k", value, at_timestamp=timestamp)
-            reference[timestamp] = value
-        for probe in range(0, 55):
-            visible = [ts for ts in reference if ts <= probe]
-            expected = (reference[max(visible)], max(visible)) if visible else (None, None)
-            assert store.read("k", probe) == expected

@@ -14,8 +14,8 @@ import pytest
 
 from repro.common.config import BlockCutPolicy, SystemConfig
 from repro.contracts.accounting import AccountingContract
-from repro.paradigms import OXDeployment, OXIIDeployment, XOVDeployment, run_paradigm
-from repro.paradigms.run import PARADIGMS
+from repro.common.registry import paradigm_registry
+from repro.paradigms import OXDeployment, OXIIDeployment, XOVDeployment, execute_run
 from repro.workload.arrivals import constant_rate
 from repro.workload.generator import ConflictScope, WorkloadConfig, WorkloadGenerator
 
@@ -149,12 +149,12 @@ class TestAccessControlAndConsensusVariants:
         assert collector.aborted_count == 0
 
 
-class TestRunParadigmHelper:
+class TestExecuteRun:
     def test_registry_contains_three_paradigms(self):
-        assert set(PARADIGMS) == {"OX", "XOV", "OXII"}
+        assert set(paradigm_registry) == {"OX", "XOV", "OXII"}
 
-    def test_run_paradigm_end_to_end(self):
-        metrics = run_paradigm(
+    def test_execute_run_end_to_end(self):
+        metrics = execute_run(
             "oxii",
             system_config=FAST_CONFIG,
             workload_config=WorkloadConfig(contention=0.2),
@@ -169,4 +169,4 @@ class TestRunParadigmHelper:
         from repro.common.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
-            run_paradigm("pow")
+            execute_run("pow")

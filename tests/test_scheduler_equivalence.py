@@ -19,10 +19,13 @@ from typing import Dict, List
 
 import pytest
 
-from benchmarks.seed_reference import SeedGraphScheduler, seed_execute_with_graph
+from benchmarks.seed_reference import (
+    SeedGraphScheduler,
+    all_pairs_graph,
+    seed_execute_with_graph,
+)
 from repro.core.dependency_graph import build_dependency_graph
 from repro.core.execution import ExecutionEngine, GraphScheduler
-from repro.core.parallel_executor import ParallelGraphExecutor
 from repro.core.transaction import ReadWriteSet, Transaction, TransactionResult
 
 SEEDS = list(range(12))
@@ -153,17 +156,19 @@ class TestEngineEquivalence:
         graphed.execute_with_graph(build_dependency_graph(txs))
         assert graphed.state == sequential.state
 
-    def test_thread_pool_executor_matches_sequential_reference(self, seed: int) -> None:
-        """XOV/OXII-style concurrent execution converges to the same state."""
+    def test_all_pairs_graph_execution_matches_sequential_reference(self, seed: int) -> None:
+        """The seed's all-pairs graph executes to the sequential state too,
+        with the same results as the sparse production graph."""
         txs = random_block(seed)
-        graph = build_dependency_graph(txs)
         sequential = ExecutionEngine(counter_runner, state={})
         sequential.execute_sequentially(txs)
-        state: Dict[str, object] = {}
-        executor = ParallelGraphExecutor(counter_runner, max_workers=4)
-        results = executor.execute(graph, state)
-        assert state == sequential.state
-        assert len(results) == len(txs)
+        dense = ExecutionEngine(counter_runner, state={})
+        dense_results = dense.execute_with_graph(all_pairs_graph(txs))
+        sparse = ExecutionEngine(counter_runner, state={})
+        sparse_results = sparse.execute_with_graph(build_dependency_graph(txs))
+        assert dense.state == sparse.state == sequential.state
+        assert dense_results == sparse_results
+        assert len(dense_results) == len(txs)
 
 
 class TestMultiVersionWaveBatching:

@@ -6,8 +6,6 @@ import pytest
 
 from repro.common.errors import TransactionError
 from repro.core.transaction import (
-    Operation,
-    OperationType,
     ReadWriteSet,
     Transaction,
     TransactionResult,
@@ -64,13 +62,6 @@ class TestTransaction:
     def test_digest_changes_with_timestamp(self):
         tx = make_tx("t1", reads=["a"])
         assert tx.digest() != tx.with_timestamp(5).digest()
-
-    def test_operations_cover_reads_and_writes(self):
-        tx = make_tx("t1", reads=["a"], writes=["b", "c"])
-        ops = tx.operations()
-        assert Operation(OperationType.READ, "a") in ops
-        assert Operation(OperationType.WRITE, "b") in ops
-        assert len(ops) == 3
 
 
 class TestTransactionResult:
