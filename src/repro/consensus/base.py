@@ -108,6 +108,9 @@ class OrderingService(abc.ABC):
     def handle_message(self, envelope: Envelope):
         """Process generator handling one protocol message."""
 
+    def resync(self) -> None:
+        """Recovery runs call this periodically so a lagging replica can catch up."""
+
     # ------------------------------------------------------------- internals
     def allocate_sequence(self) -> int:
         """Leader-side: reserve the next sequence number."""

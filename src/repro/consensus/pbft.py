@@ -28,6 +28,7 @@ from repro.simulation import Environment
 PRE_PREPARE = "PBFT_PRE_PREPARE"
 PREPARE = "PBFT_PREPARE"
 COMMIT = "PBFT_COMMIT"
+STATUS = "PBFT_STATUS"
 
 
 @dataclass
@@ -46,7 +47,7 @@ class _InstanceState:
 class PBFTOrdering(OrderingService):
     """One orderer's PBFT participation (normal case, fixed view)."""
 
-    message_kinds = (PRE_PREPARE, PREPARE, COMMIT)
+    message_kinds = (PRE_PREPARE, PREPARE, COMMIT, STATUS)
 
     def __init__(
         self,
@@ -135,7 +136,33 @@ class PBFTOrdering(OrderingService):
         elif kind == COMMIT:
             self._record_commit(sequence, envelope.sender, digest)
             self._maybe_commit_done(sequence)
+        elif kind == STATUS:
+            self._replay(envelope.sender, sequence)
         return None
+
+    def resync(self) -> None:
+        """Ask the other replicas to replay every instance not delivered here."""
+        self.sign_and_multicast(STATUS, {"view": self.view, "seq": self._next_to_deliver, "digest": ""})
+
+    def _replay(self, replica: str, first: int) -> None:
+        """Re-send ``replica`` this replica's messages for the instances from ``first`` on.
+
+        There is no state transfer: a replica that missed an instance's
+        messages while partitioned never decides it once the traffic stops.
+        Replaying the original messages lets it decide through the normal
+        quorums.
+        """
+        for sequence in range(first, self._next_sequence):
+            instance = self._instances.get(sequence)
+            if instance is None or not instance.pre_prepared:
+                continue
+            body = {"view": self.view, "seq": sequence, "digest": instance.digest}
+            if self.is_leader:
+                self.sign_and_send(replica, PRE_PREPARE, {**body, "payload": instance.payload})
+            else:
+                self.sign_and_send(replica, PREPARE, body)
+            if instance.prepared:
+                self.sign_and_send(replica, COMMIT, body)
 
     # -------------------------------------------------------------- internals
     def _handle_pre_prepare(self, sender: str, sequence: int, digest: str, payload: Any) -> None:

@@ -73,7 +73,6 @@ class CountdownScheduler:
         "_assigned",
         "_dispatched",
         "_executed",
-        "_committed",
         "_ready",
         "_waiting_count",
     )
@@ -90,7 +89,6 @@ class CountdownScheduler:
         self._assigned = bytearray(n)
         self._dispatched = bytearray(n)
         self._executed = bytearray(n)
-        self._committed = bytearray(n)
         for v in assigned_indices:
             self._assigned[self._check_index(v)] = 1
         self._waiting_count = sum(self._assigned)
@@ -108,17 +106,9 @@ class CountdownScheduler:
         """The dependency graph being scheduled."""
         return self._graph
 
-    def is_assigned(self, index: int) -> bool:
-        """True if ``index`` is in ``W_e`` (this executor must execute it)."""
-        return bool(self._assigned[self._check_index(index)])
-
     def is_executed(self, index: int) -> bool:
         """True if ``index`` is in ``X_e``."""
         return bool(self._executed[self._check_index(index)])
-
-    def is_committed(self, index: int) -> bool:
-        """True if ``index`` is in ``C_e``."""
-        return bool(self._committed[self._check_index(index)])
 
     def waiting_count(self) -> int:
         """How many assigned transactions have not been executed yet."""
@@ -183,8 +173,7 @@ class CountdownScheduler:
 
     def mark_committed(self, index: int) -> None:
         """Record that ``index`` is committed (its results are in the state)."""
-        self._committed[self._check_index(index)] = 1
-        self._settle(index)
+        self._settle(self._check_index(index))
 
     def blocked_on_indices(self, index: int) -> List[int]:
         """Predecessors of ``index`` that are not yet executed or committed."""
@@ -350,7 +339,8 @@ class CommitBatcher:
 class _ResultVotes:
     """Bookkeeping for one transaction's received results (``R_e(x)``).
 
-    Votes are tallied in a single pass, keyed by each result's
+    Only built for a transaction whose first agent vote fell short of
+    ``τ(A)``.  Votes are tallied in a single pass, keyed by each result's
     ``match_key()`` (outcome + updates frozen with ``==``-preserving
     semantics), so receiving a vote is O(1) instead of the O(votes²)
     pairwise ``matches()`` comparisons the naive tally pays.  Results whose
@@ -363,10 +353,9 @@ class _ResultVotes:
     reached the threshold earlier would already have committed).
     """
 
-    __slots__ = ("committed", "_senders", "_tally", "_unkeyed", "_best")
+    __slots__ = ("_senders", "_tally", "_unkeyed", "_best")
 
     def __init__(self) -> None:
-        self.committed = False
         self._senders: Set[str] = set()
         #: match key -> [first result with that key, matching-vote count]
         self._tally: Dict[object, list] = {}
@@ -399,31 +388,34 @@ class _ResultVotes:
                 return entry
         return None
 
-    def add(self, result: TransactionResult, executor: str) -> None:
-        if executor in self._senders:
-            return  # an executor only gets one vote per transaction
-        self._senders.add(executor)
-        entry = self._entry_for(result)
-        if entry is None:
-            entry = [result, 1]
-            try:
-                self._tally[result.match_key()] = entry
-            except TypeError:
-                self._unkeyed.append(entry)
-        else:
-            entry[1] += 1
-        if self._best is None or entry[1] > self._best[1]:
-            self._best = entry
-
-    def best(self) -> Optional[Tuple[TransactionResult, int]]:
-        """The result with the most matching votes and its count."""
-        if self._best is None:
-            return None
-        return self._best[0], self._best[1]
+    def add(self, result: TransactionResult, executor: str) -> Tuple[TransactionResult, int]:
+        """Count ``result``'s vote; return the leading result and its count."""
+        if executor not in self._senders:  # one vote per executor and transaction
+            self._senders.add(executor)
+            entry = self._entry_for(result)
+            if entry is None:
+                entry = [result, 1]
+                try:
+                    self._tally[result.match_key()] = entry
+                except TypeError:
+                    self._unkeyed.append(entry)
+            else:
+                entry[1] += 1
+            if self._best is None or entry[1] > self._best[1]:
+                self._best = entry
+        best = self._best
+        return best[0], best[1]
 
 
 class StateUpdater:
-    """Algorithm 3 — commit results once τ(A) matching votes have arrived."""
+    """Algorithm 3 — commit results once τ(A) matching votes have arrived.
+
+    Nothing is allocated per transaction up front: a transaction whose first
+    agent vote already reaches ``τ(A)`` commits that result directly, and a
+    keyed :class:`_ResultVotes` tally is built only for one that still needs
+    another vote.  ``tau`` is asked once per application and ``is_agent``
+    once per (executor, application).
+    """
 
     def __init__(
         self,
@@ -444,19 +436,23 @@ class StateUpdater:
         """
         if apply_update is None and apply_batch is None:
             raise ValueError("StateUpdater needs apply_update or apply_batch")
-        self._transactions: Dict[str, Transaction] = {tx.tx_id: tx for tx in block_transactions}
+        #: Block position and application per transaction; the position is
+        #: the dependency-graph order gate's clock (see :meth:`_gate_updates`).
+        self._slots: Dict[str, Tuple[int, str]] = {
+            tx.tx_id: (index, tx.application) for index, tx in enumerate(block_transactions)
+        }
         self._tau = tau
         self._is_agent = is_agent
         self._apply_update = apply_update
         self._apply_batch = apply_batch
-        self._votes: Dict[str, _ResultVotes] = {tx_id: _ResultVotes() for tx_id in self._transactions}
+        self._tau_of: Dict[str, int] = {}
+        #: executor -> application -> is_agent answer.
+        self._agent_of: Dict[str, Dict[str, bool]] = {}
+        #: Tallies of transactions whose votes have not reached τ(A) yet.
+        self._votes: Dict[str, _ResultVotes] = {}
         self._committed: Dict[str, TransactionResult] = {}
-        #: Block position per transaction and, per record, the position of the
-        #: latest writer whose update has been applied — the dependency-graph
-        #: order gate (see :meth:`_effective_updates`).
-        self._positions: Dict[str, int] = {
-            tx.tx_id: index for index, tx in enumerate(block_transactions)
-        }
+        #: Per record, the position of the latest writer whose update has
+        #: been applied.
         self._last_writer: Dict[str, int] = {}
         self._effective: Dict[str, Mapping[str, Any]] = {}
 
@@ -477,7 +473,7 @@ class StateUpdater:
         """
         return self._effective.get(tx_id, {})
 
-    def _gate_updates(self, tx_id: str, winning: TransactionResult) -> Mapping[str, Any]:
+    def _gate_updates(self, position: int, tx_id: str, winning: TransactionResult) -> Mapping[str, Any]:
         """Filter a winner's updates to those not superseded in block order.
 
         COMMIT messages from different agents travel on independent links, so
@@ -488,7 +484,6 @@ class StateUpdater:
         catches).  Each record therefore remembers the block position of the
         latest applied writer and drops updates from before it.
         """
-        position = self._positions[tx_id]
         last = self._last_writer
         filtered: Dict[str, Any] = {}
         for key, value in winning.updates.items():
@@ -500,49 +495,62 @@ class StateUpdater:
 
     def is_complete(self) -> bool:
         """True once every transaction of the block has been committed."""
-        return len(self._committed) == len(self._transactions)
+        return len(self._committed) == len(self._slots)
 
     def pending_ids(self) -> Set[str]:
         """Transactions still waiting for enough matching votes."""
-        return set(self._transactions) - set(self._committed)
+        return set(self._slots) - set(self._committed)
 
     # -------------------------------------------------------------- Algorithm 3
     def receive(self, message: CommitMessage) -> List[str]:
         """Process a COMMIT message; return transactions committed by it."""
         newly_committed: List[str] = []
         winners: List[TransactionResult] = []
+        slots, committed, tau_of = self._slots, self._committed, self._tau_of
+        executor = message.executor
+        agent_of = self._agent_of.get(executor)
+        if agent_of is None:
+            agent_of = self._agent_of[executor] = {}
         for result in message.results:
-            tx = self._transactions.get(result.tx_id)
-            if tx is None:
-                continue  # result for a transaction outside this block
-            if not self._is_agent(message.executor, tx.application):
+            tx_id = result.tx_id
+            slot = slots.get(tx_id)
+            if slot is None or tx_id in committed:
+                continue  # outside this block, or already committed
+            position, application = slot
+            agent = agent_of.get(application)
+            if agent is None:
+                agent = agent_of[application] = bool(self._is_agent(executor, application))
+            if not agent:
                 continue  # only agents of the application may vote
-            votes = self._votes[result.tx_id]
-            if votes.committed:
-                continue
-            votes.add(result, message.executor)
-            best = votes.best()
-            if best is None:
-                continue
-            winning, count = best
-            if count >= self._tau(tx.application):
-                votes.committed = True
-                self._committed[result.tx_id] = winning
-                if not winning.is_abort:
-                    effective = self._gate_updates(result.tx_id, winning)
-                    # The common (in-order) case applies the result untouched;
-                    # a gated result is re-wrapped so both apply paths see
-                    # only the surviving updates.
-                    applied = (
-                        winning
-                        if len(effective) == len(winning.updates)
-                        else replace(winning, updates=effective)
-                    )
-                    if self._apply_batch is not None:
-                        winners.append(applied)
-                    else:
-                        self._apply_update(applied)
-                newly_committed.append(result.tx_id)
+            tau = tau_of.get(application)
+            if tau is None:
+                tau = tau_of[application] = self._tau(application)
+            votes = self._votes.get(tx_id)
+            if votes is None and tau <= 1:
+                winning = result  # the first agent vote already reaches τ(A)
+            else:
+                if votes is None:
+                    votes = self._votes[tx_id] = _ResultVotes()
+                winning, count = votes.add(result, executor)
+                if count < tau:
+                    continue
+                del self._votes[tx_id]
+            committed[tx_id] = winning
+            if not winning.is_abort:
+                effective = self._gate_updates(position, tx_id, winning)
+                # The common (in-order) case applies the result untouched;
+                # a gated result is re-wrapped so both apply paths see
+                # only the surviving updates.
+                applied = (
+                    winning
+                    if len(effective) == len(winning.updates)
+                    else replace(winning, updates=effective)
+                )
+                if self._apply_batch is not None:
+                    winners.append(applied)
+                else:
+                    self._apply_update(applied)
+            newly_committed.append(tx_id)
         if winners:
             self._apply_batch(winners)
         return newly_committed

@@ -16,11 +16,13 @@ center does not affect OXII's measured performance (Figure 7(d)).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import SystemConfig
 from repro.contracts.base import ContractRegistry
 from repro.core.block import Block
+from repro.core.dependency_graph import DependencyGraph
 from repro.core.execution import CommitBatcher, CommitMessage, GraphScheduler, StateUpdater
 from repro.core.transaction import Transaction, TransactionResult
 from repro.crypto.signatures import KeyRegistry
@@ -41,20 +43,33 @@ class _SpeculativeView:
     ``C_e ∪ X_e`` — i.e. possibly before their results reach the committed
     blockchain state.  The executing agent must therefore see its own executed
     results; this view overlays them on the committed world state.
+
+    Each overlaid record remembers the block position of the transaction that
+    wrote it and never moves back: with several agents per application, a
+    COMMIT for a hot-key chain's ancestors can arrive after this node already
+    executed a later link, and re-applying the ancestors' updates would hand
+    the next link a stale value.
     """
 
-    def __init__(self, state: WorldState) -> None:
+    def __init__(self, state: WorldState, graph: DependencyGraph) -> None:
         self._state = state
+        self._graph = graph
         self._overlay: Dict[str, object] = {}
+        self._positions: Dict[str, int] = {}
 
     def get(self, key: str, default: object = None) -> object:
         if key in self._overlay:
             return self._overlay[key]
         return self._state.get(key, default)
 
-    def apply(self, updates) -> None:
-        """Record the updates of a locally executed transaction."""
-        self._overlay.update(updates)
+    def apply(self, result: TransactionResult) -> None:
+        """Record the updates of a transaction executed here or committed."""
+        position = self._graph.index_of(result.tx_id)
+        overlay, positions = self._overlay, self._positions
+        for key, value in result.updates.items():
+            if positions.get(key, -1) <= position:
+                overlay[key] = value
+                positions[key] = position
 
 
 class ExecutorNode(BaseNode, BlockCatchupMixin):
@@ -217,7 +232,7 @@ class ExecutorNode(BaseNode, BlockCatchupMixin):
         if graph is None:
             raise ValueError("OXII executors require blocks to carry a dependency graph")
         assigned = [tx.tx_id for tx in block if self.is_agent_for(tx.application)]
-        speculative = _SpeculativeView(self.state)
+        speculative = _SpeculativeView(self.state, graph)
         scheduler = GraphScheduler(graph, assigned=assigned)
         batcher = CommitBatcher(graph, executor=self.node_id, block_sequence=block.sequence)
         updater = StateUpdater(
@@ -239,14 +254,17 @@ class ExecutorNode(BaseNode, BlockCatchupMixin):
             if kind == "executed":
                 result: TransactionResult = item
                 scheduler.mark_executed(result.tx_id)
-                if not result.is_abort:
-                    speculative.apply(result.updates)
                 self.transactions_executed += 1
-                self._record_own_result(block.sequence, result)
                 outgoing = []
-                flushed = batcher.add_result(result)
-                if flushed is not None:
-                    outgoing.append(flushed)
+                # A transaction other agents' votes committed while it ran
+                # here may have read its own committed writes: no vote.
+                if updater.committed_result(result.tx_id) is None:
+                    if not result.is_abort:
+                        speculative.apply(result)
+                    self._record_own_result(block.sequence, result)
+                    flushed = batcher.add_result(result)
+                    if flushed is not None:
+                        outgoing.append(flushed)
                 if scheduler.is_done():
                     remainder = batcher.flush()
                     if remainder is not None:
@@ -263,13 +281,13 @@ class ExecutorNode(BaseNode, BlockCatchupMixin):
     def _dispatch_ready(
         self, scheduler: GraphScheduler, queue: Store, view: _SpeculativeView
     ) -> None:
-        """Start an execution process for every newly ready transaction."""
+        """Queue every newly ready transaction for a core of the CPU pool."""
+        cost = self.cost_model.tx_execution
         for tx in scheduler.ready_transactions():
-            self.env.process(self._execute_transaction(tx, queue, view), name=f"{self.node_id}-exec")
+            self.cpu.submit(cost, partial(self._execute_transaction, tx, queue, view))
 
-    def _execute_transaction(self, tx: Transaction, queue: Store, view: _SpeculativeView):
-        """Occupy one core for the execution cost, then run the smart contract."""
-        yield from self.cpu.execute(self.cost_model.tx_execution, result=None)
+    def _execute_transaction(self, tx: Transaction, queue: Store, view: _SpeculativeView) -> None:
+        """Run the smart contract once its core time has elapsed."""
         outcome = self.contracts.execute(tx, view, executed_by=self.node_id)
         queue.put(("executed", outcome))
 
@@ -300,10 +318,8 @@ class ExecutorNode(BaseNode, BlockCatchupMixin):
             if result is not None and not aborted:
                 # Keep the speculative view causally up to date: committed
                 # writes from other agents must be visible to later local
-                # executions of the same block.  Only the updates that
-                # survived the updater's block-order gate are applied — a
-                # reordered COMMIT must not regress the overlay either.
-                speculative.apply(updater.effective_updates(tx_id))
+                # executions of the same block.
+                speculative.apply(result)
             if self.collector is not None:
                 reason = ""
                 if aborted:

@@ -242,20 +242,20 @@ class OrdererNode(BaseNode):
 
         Peers compare the announced tip with the next block they expect and
         fetch any gap with BLOCK_FETCH, which is what lets a crashed or
-        partitioned peer catch up once the fault heals.
+        partitioned peer catch up once the fault heals.  The ordering
+        protocol gets the same tick to let lagging orderers catch up.
         """
         interval = self.config.recovery.tip_announce_interval
         while True:
             yield interval
-            if not self._sealed:
-                continue
-            tip = max(self._sealed)
-            self.multicast_signed(
-                self.block_targets,
-                messages.TIP_ANNOUNCE,
-                {"sequence": tip},
-                payload_bytes=self.latency.per_message_bytes,
-            )
+            self.consensus.resync()
+            if self._sealed:
+                self.multicast_signed(
+                    self.block_targets,
+                    messages.TIP_ANNOUNCE,
+                    {"sequence": max(self._sealed)},
+                    payload_bytes=self.latency.per_message_bytes,
+                )
 
     def _seal_and_multicast(self, pending: PendingBlock):
         """Charge the sealing costs, build the block and multicast NEWBLOCK.

@@ -6,7 +6,8 @@ is classified into a run phase and its wall-clock time credited to that
 phase.  Classification is by construction cheap and deterministic:
 
 * objects may carry an explicit ``profile_phase`` class attribute (the
-  transport does — its delivery callbacks are "transport");
+  transport does — its delivery callbacks are "transport" — and so does the
+  CPU pool, whose callbacks run contract executions: "execution");
 * processes are classified from their ``name`` via
   :func:`classify_process_name` (results are memoised per name);
 * everything else is "other".
@@ -76,7 +77,7 @@ def classify_process_name(name: str) -> str:
     for suffix, phase in _SUFFIX_PHASES:
         if name.endswith(suffix):
             return phase
-    if "-block-" in name or name == "cpu-work":
+    if "-block-" in name:
         return "execution"
     if name.startswith("agents-"):
         return "client"

@@ -25,7 +25,7 @@ The API is intentionally close to SimPy's:
 from repro.simulation.events import AllOf, AnyOf, Event, Timeout
 from repro.simulation.process import Process
 from repro.simulation.core import Environment
-from repro.simulation.resources import CpuPool, Resource, Store
+from repro.simulation.resources import CpuPool, Store
 
 __all__ = [
     "AllOf",
@@ -34,7 +34,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Resource",
     "Store",
     "Timeout",
 ]

@@ -25,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.config import SystemConfig, default_tau
 from repro.nodes import executor as executor_module
 from repro.sharding import coordinator as coordinator_module
 from repro.testing import (
+    FaultSchedule,
     ScenarioConfig,
     check_cross_shard_atomicity,
     check_serializability,
@@ -65,11 +67,8 @@ def battery_config(paradigm: str, seed: int) -> ScenarioConfig:
     )
 
 
-@pytest.mark.parametrize("paradigm", PARADIGMS)
-@pytest.mark.parametrize("seed", range(BATTERY_SEEDS))
-def test_random_fault_battery(paradigm: str, seed: int):
-    config = battery_config(paradigm, seed)
-    schedule = config.random_schedule(events=5)
+def assert_row_holds(config: ScenarioConfig, schedule, name: str, label: str) -> None:
+    """Run one battery row; on a violation shrink it and fail with a repro artifact."""
     outcome = run_scenario(config, schedule)
     violations = run_all_oracles(outcome)
     if violations:
@@ -79,16 +78,76 @@ def test_random_fault_battery(paradigm: str, seed: int):
         shrunk = shrink_schedule(schedule, still_fails, max_attempts=60)
         final = run_all_oracles(run_scenario(config, shrunk))
         artifact = dump_repro_artifact(
-            ARTIFACT_DIR / f"fault-repro-{paradigm}-{seed}.json",
-            config,
-            shrunk,
-            final or violations,
+            ARTIFACT_DIR / f"fault-repro-{name}.json", config, shrunk, final or violations
         )
         pytest.fail(
-            f"{paradigm} seed={seed} violated oracles "
+            f"{label} violated oracles "
             f"({'; '.join(v.oracle for v in violations)}); "
             f"shrunken repro with {len(shrunk)} events at {artifact}"
         )
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+@pytest.mark.parametrize("seed", range(BATTERY_SEEDS))
+def test_random_fault_battery(paradigm: str, seed: int):
+    config = battery_config(paradigm, seed)
+    assert_row_holds(
+        config, config.random_schedule(events=5), f"{paradigm}-{seed}", f"{paradigm} seed={seed}"
+    )
+
+
+#: τ(A) values the several-agents rows sweep, with three agents per application.
+MULTI_AGENT_TAUS = (1, 2)
+
+
+def multi_agent_battery_config(seed: int, tau: int) -> ScenarioConfig:
+    """An OXII battery row where every application has three agents.
+
+    The plain rows run one agent per application, so no COMMIT ever carries
+    a result this executor also computed itself, and τ(A) > 1 never needs a
+    second vote; these rows cover both.
+    """
+    base = battery_config("OXII", seed)
+    applications = SystemConfig().application_names()
+    return replace(
+        base, system={"executors_per_application": 3, "tau": default_tau(applications, tau)}
+    )
+
+
+@pytest.mark.parametrize("tau", MULTI_AGENT_TAUS)
+@pytest.mark.parametrize("seed", range(BATTERY_SEEDS))
+def test_multi_agent_fault_battery(seed: int, tau: int):
+    config = multi_agent_battery_config(seed, tau)
+    assert_row_holds(
+        config,
+        config.random_schedule(events=5),
+        f"OXII-3agents-tau{tau}-{seed}",
+        f"OXII (3 agents, tau={tau}) seed={seed}",
+    )
+
+
+def test_agents_replaying_a_chain_stay_serializable():
+    """Fault-free, two agents per application: an agent that already executed
+    a hot-key chain locally must not let a later COMMIT for the chain's
+    ancestors step its speculative view back while the next link runs."""
+    config = ScenarioConfig(paradigm="OXII", seed=7, system={"executors_per_application": 2})
+    assert not run_all_oracles(run_scenario(config))
+
+
+def test_agent_casts_no_vote_for_a_transaction_committed_while_it_ran():
+    """Three agents per application: an agent cut off and crashed catches up
+    on COMMITs for transactions it is still executing.  Its own late result
+    read those transactions' committed writes and must not be multicast as
+    a vote, or peers that take it first commit a state no serial run gives."""
+    config = multi_agent_battery_config(11, 1)
+    schedule = FaultSchedule.from_dict({"events": [
+        {"action": "partition", "at": 0.51,
+         "groups": [["orderer:1", "peer:8", "peer:4", "peer:2", "peer:0"]]},
+        {"action": "partition", "at": 0.87, "groups": [["peer:1"]]},
+        {"action": "crash", "at": 0.89, "target": "peer:2"},
+        {"action": "restart", "at": 1.04, "target": "peer:2"},
+    ]})
+    assert not run_all_oracles(run_scenario(config, schedule))
 
 
 #: Shard counts the sharded battery rows sweep (× REPRO_FAULT_SEEDS seeds).
@@ -117,26 +176,12 @@ def test_sharded_fault_battery(seed: int, num_shards: int):
     crash/partition targets), and all oracles — including cross-shard
     atomicity — must hold."""
     config = sharded_battery_config(seed, num_shards)
-    schedule = config.random_schedule(events=5)
-    outcome = run_scenario(config, schedule)
-    violations = run_all_oracles(outcome)
-    if violations:
-        def still_fails(candidate):
-            return bool(run_all_oracles(run_scenario(config, candidate)))
-
-        shrunk = shrink_schedule(schedule, still_fails, max_attempts=60)
-        final = run_all_oracles(run_scenario(config, shrunk))
-        artifact = dump_repro_artifact(
-            ARTIFACT_DIR / f"fault-repro-sharded-{num_shards}-{seed}.json",
-            config,
-            shrunk,
-            final or violations,
-        )
-        pytest.fail(
-            f"sharded({num_shards}) seed={seed} violated oracles "
-            f"({'; '.join(v.oracle for v in violations)}); "
-            f"shrunken repro with {len(shrunk)} events at {artifact}"
-        )
+    assert_row_holds(
+        config,
+        config.random_schedule(events=5),
+        f"sharded-{num_shards}-{seed}",
+        f"sharded({num_shards}) seed={seed}",
+    )
 
 
 class TestBrokenCommitRuleIsCaught:

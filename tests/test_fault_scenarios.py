@@ -73,6 +73,26 @@ class TestConsensusProposalRetry:
         assert retries > 0, "expected the leader to retry at least one proposal"
 
 
+class TestPbftFollowersCatchUp:
+    @pytest.mark.parametrize("paradigm", ["OX", "XOV", "OXII"])
+    def test_followers_partitioned_in_turn_decide_after_heal(self, paradigm):
+        """Cut off one PBFT follower after another: each misses instances the
+        rest decide, until only the primary holds the last blocks and peers
+        cannot collect f+1 matching NEWBLOCKs.  After the heal the lagging
+        followers must catch up and deliver them."""
+        config = ScenarioConfig(
+            paradigm=paradigm, seed=25, offered_load=250, duration=1.0,
+            consensus="pbft", max_faulty_orderers=1, num_orderers=4,
+        )
+        schedule = FaultSchedule(events=(
+            FaultEvent(at=0.47, action="partition", groups=(("orderer:3",),)),
+            FaultEvent(at=0.63, action="partition", groups=(("orderer:1",),)),
+            FaultEvent(at=0.98, action="partition", groups=(("orderer:2",),)),
+            FaultEvent(at=1.31, action="heal_partition"),
+        ))
+        assert_clean(run_scenario(config, schedule))
+
+
 class TestPartitions:
     def test_xov_partition_spanning_the_endorsers(self):
         """Cut every endorser away from the gateway and orderers: endorsement

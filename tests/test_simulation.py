@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.simulation import AllOf, AnyOf, CpuPool, Resource, Store
+from repro.simulation import AllOf, AnyOf, CpuPool, Store
 from repro.simulation.process import Interrupt
 
 
@@ -269,50 +269,45 @@ class TestConditionEvents:
         assert process.value == []
 
 
-class TestResources:
-    def test_resource_limits_concurrency(self, env):
-        resource = Resource(env, capacity=2)
-        active = []
-        peak = []
-
-        def worker(env):
-            with resource.request() as grant:
-                yield grant
-                active.append(1)
-                peak.append(len(active))
-                yield env.timeout(1.0)
-                active.pop()
-
-        for _ in range(5):
-            env.process(worker(env))
+class TestCpuPool:
+    def test_cpu_pool_limits_concurrency(self, env):
+        pool = CpuPool(env, cores=2)
+        done = []
+        for job in range(5):
+            pool.submit(1.0, lambda job=job: done.append((job, env.now)))
+        env.step()  # first arrival: both cores granted, three jobs still wait
+        assert pool.queue_length == 0
+        for _ in range(4):
+            env.step()
+        assert pool.queue_length == 3
         env.run()
-        assert max(peak) == 2
-        # 5 jobs of 1s on 2 servers take 3 seconds.
-        assert env.now == pytest.approx(3.0)
+        # 5 jobs of 1s on 2 cores: FIFO pairs finish at 1s and 2s, the last at 3s.
+        assert done == [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0)]
 
-    def test_resource_invalid_capacity(self, env):
+    def test_cpu_pool_invalid_capacity(self, env):
         with pytest.raises(SimulationError):
-            Resource(env, capacity=0)
+            CpuPool(env, cores=0)
+
+    def test_cpu_pool_rejects_negative_cost(self, env):
+        with pytest.raises(SimulationError):
+            CpuPool(env, cores=1).submit(-1.0, lambda: None)
 
     def test_cpu_pool_parallel_speedup(self, env):
         pool = CpuPool(env, cores=4)
-
-        def run_all(env):
-            jobs = [pool.run(1.0) for _ in range(8)]
-            yield AllOf(env, jobs)
-
-        env.run(until=env.process(run_all(env)))
+        done = []
+        for _ in range(8):
+            pool.submit(1.0, lambda: done.append(env.now))
+        env.run()
         # 8 jobs of 1 second across 4 cores finish in 2 simulated seconds.
+        assert done == [1.0] * 4 + [2.0] * 4
         assert env.now == pytest.approx(2.0)
         assert pool.utilisation_seconds == pytest.approx(8.0)
 
     def test_cpu_pool_sequential_when_single_core(self, env):
         pool = CpuPool(env, cores=1)
-
-        def run_all(env):
-            yield AllOf(env, [pool.run(0.5) for _ in range(4)])
-
-        env.run(until=env.process(run_all(env)))
+        for _ in range(4):
+            pool.submit(0.5, lambda: None)
+        env.run()
         assert env.now == pytest.approx(2.0)
 
 
